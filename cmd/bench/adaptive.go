@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/benchkit"
 	"repro/internal/core"
-	"repro/internal/rsm"
 	"repro/internal/simcache"
 )
 
@@ -49,7 +48,7 @@ func benchAdaptiveSavings(r *benchkit.Report) error {
 		pts := randomCoded(k, 100, 99)
 		truth := map[core.ResponseID][]float64{}
 		for _, x := range pts {
-			resp, err := p.ResponsesAtContext(ctx, x)
+			resp, err := p.ResponsesAt(ctx, x)
 			if err != nil {
 				return fmt.Errorf("adaptive bench: validation sim: %w", err)
 			}
@@ -63,15 +62,11 @@ func benchAdaptiveSavings(r *benchkit.Report) error {
 		if err != nil {
 			return err
 		}
-		ds, err := p.RunDesignContext(ctx, design, 0)
+		fixed, err := core.Build(ctx, core.BuildSpec{Problem: p, Design: design})
 		if err != nil {
 			return fmt.Errorf("adaptive bench: fixed build: %w", err)
 		}
-		fixed, err := p.BuildSurfaces(ds, rsm.FullQuadratic(k))
-		if err != nil {
-			return err
-		}
-		fixedVal, err := minValidationR2(p, fixed, pts, truth)
+		fixedVal, err := minValidationR2(p, fixed.Surfaces, pts, truth)
 		if err != nil {
 			return err
 		}
@@ -82,7 +77,7 @@ func benchAdaptiveSavings(r *benchkit.Report) error {
 		if err != nil {
 			return err
 		}
-		res, err := p2.RunAdaptive(ctx, core.AdaptiveConfig{Seed: 4})
+		res, err := core.Build(ctx, core.BuildSpec{Problem: p2, Adaptive: &core.AdaptiveConfig{Seed: 4}})
 		if err != nil {
 			return fmt.Errorf("adaptive bench: adaptive build: %w", err)
 		}
@@ -91,7 +86,7 @@ func benchAdaptiveSavings(r *benchkit.Report) error {
 			return err
 		}
 
-		st := res.Stats
+		st := res.Adaptive
 		savings := 1 - float64(st.PointsSimulated)/float64(st.FixedPoints)
 		fmt.Printf("adaptive %-9s %d of %d points (%.1f%% saved, stop: %s), val R²min adaptive %.4f vs fixed %.4f\n",
 			w.name, st.PointsSimulated, st.FixedPoints, 100*savings, st.StopReason, adaptVal, fixedVal)

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -26,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/node"
-	"repro/internal/rsm"
 	"repro/internal/sim"
 	"repro/internal/simcache"
 	"repro/internal/tuner"
@@ -310,15 +310,11 @@ func fitSurfaces() (*core.SavedSurfaces, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err := p.RunDesign(design)
+	res, err := core.Build(context.Background(), core.BuildSpec{Problem: p, Design: design, Workers: 1})
 	if err != nil {
 		return nil, err
 	}
-	s, err := p.BuildSurfaces(ds, rsm.FullQuadratic(len(p.Factors)))
-	if err != nil {
-		return nil, err
-	}
-	return s.Save(design.Name, design.N()), nil
+	return res.Surfaces.Save(design.Name, design.N()), nil
 }
 
 // codedGrid returns the full factorial of levels per factor over the coded

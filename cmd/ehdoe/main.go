@@ -33,7 +33,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/report"
-	"repro/internal/rsm"
 	"repro/internal/simcache"
 )
 
@@ -174,24 +173,13 @@ func cmdBuild(args []string) error {
 		return err
 	}
 	k := len(p.Factors)
-	quad := rsm.FullQuadratic(k)
-
-	var ds *core.Dataset
-	var s *core.Surfaces
-	var adaptive *core.AdaptiveStats
+	spec := core.BuildSpec{Problem: p, Workers: *workers}
 	switch *strategy {
 	case core.StrategyFixed:
-		design, err := core.NamedDesign(*designName, k, *runs, *seed)
-		if err != nil {
+		if spec.Design, err = core.NamedDesign(*designName, k, *runs, *seed); err != nil {
 			return err
 		}
-		fmt.Printf("running %d simulations (%s, horizon %.0f s)...\n", design.N(), design.Name, *horizon)
-		if ds, err = p.RunDesignContext(ctx, design, *workers); err != nil {
-			return err
-		}
-		if s, err = p.BuildSurfaces(ds, quad); err != nil {
-			return err
-		}
+		fmt.Printf("running %d simulations (%s, horizon %.0f s)...\n", spec.Design.N(), spec.Design.Name, *horizon)
 	case core.StrategyAdaptive:
 		// The sequential loop picks its own points, so a design name or run
 		// budget here would be silently ignored — reject explicit ones.
@@ -207,15 +195,16 @@ func cmdBuild(args []string) error {
 		}
 		fmt.Printf("adaptive build (k=%d, fixed reference %d runs, horizon %.0f s)...\n",
 			k, core.FixedEquivalentPoints(k), *horizon)
-		res, err := p.RunAdaptive(ctx, core.AdaptiveConfig{Seed: *seed, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		ds, s, adaptive = res.Dataset, res.Surfaces, res.Stats
+		spec.Adaptive = &core.AdaptiveConfig{Seed: *seed}
 	default:
 		return fmt.Errorf("build: unknown strategy %q (want %q or %q)",
 			*strategy, core.StrategyFixed, core.StrategyAdaptive)
 	}
+	res, err := core.Build(ctx, spec)
+	if err != nil {
+		return err
+	}
+	ds, s, adaptive := res.Dataset, res.Surfaces, res.Adaptive
 	saved := s.SaveWithData(ds)
 	data, err := saved.Encode()
 	if err != nil {
@@ -287,7 +276,6 @@ func parsePoint(ss *core.SavedSurfaces, spec string) ([]float64, error) {
 	seen := make([]bool, len(ss.Factors))
 	for i, f := range ss.Factors {
 		nat[i] = (f.Min + f.Max) / 2 // default: centre
-		_ = seen[i]
 	}
 	if spec == "" {
 		return nat, nil
@@ -304,6 +292,9 @@ func parsePoint(ss *core.SavedSurfaces, spec string) ([]float64, error) {
 		found := false
 		for i, f := range ss.Factors {
 			if f.Name == parts[0] {
+				if seen[i] {
+					return nil, fmt.Errorf("factor %q given twice", f.Name)
+				}
 				nat[i] = v
 				seen[i] = true
 				found = true
@@ -463,7 +454,7 @@ func cmdOptimize(args []string) error {
 		if err := withResilience(p); err != nil {
 			return err
 		}
-		resp, err := p.ResponsesAtContext(ctx, best.X)
+		resp, err := p.ResponsesAt(ctx, best.X)
 		if err != nil {
 			return err
 		}
@@ -508,7 +499,7 @@ func cmdValidate(args []string) error {
 		for j := range x {
 			x[j] = rng.Float64()*2 - 1
 		}
-		resp, err := p.ResponsesAtContext(ctx, x)
+		resp, err := p.ResponsesAt(ctx, x)
 		if err != nil {
 			return err
 		}

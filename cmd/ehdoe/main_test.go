@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -86,6 +87,9 @@ func TestParsePoint(t *testing.T) {
 	}
 	if _, err := parsePoint(ss, "period=abc"); err == nil {
 		t.Fatal("non-numeric value must fail")
+	}
+	if _, err := parsePoint(ss, "period=5,period=9"); err == nil || !strings.Contains(err.Error(), "period") {
+		t.Fatalf("repeated factor must fail naming it, got %v", err)
 	}
 }
 

@@ -19,7 +19,7 @@ func testModel(t *testing.T) *core.SavedSurfaces {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := p.RunDesignParallel(design, 0)
+	ds, err := p.RunDesign(context.Background(), design, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,6 @@ import (
 	"repro/internal/doe"
 	"repro/internal/explore"
 	"repro/internal/report"
-	"repro/internal/rsm"
 )
 
 func main() {
@@ -24,14 +24,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("building surfaces from %d simulations...\n\n", design.N())
-	ds, err := p.RunDesign(design)
+	res, err := core.Build(context.Background(), core.BuildSpec{Problem: p, Design: design, Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	s, err := p.BuildSurfaces(ds, rsm.FullQuadratic(len(p.Factors)))
-	if err != nil {
-		log.Fatal(err)
-	}
+	s := res.Surfaces
 
 	evPackets, err := s.Evaluator(core.RespPackets)
 	if err != nil {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,6 @@ import (
 	"repro/internal/doe"
 	"repro/internal/opt"
 	"repro/internal/report"
-	"repro/internal/rsm"
 )
 
 func main() {
@@ -24,14 +24,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("building surfaces from %d simulations (parallel)...\n\n", design.N())
-	ds, err := p.RunDesignParallel(design, 0)
+	built, err := core.Build(context.Background(), core.BuildSpec{Problem: p, Design: design})
 	if err != nil {
 		log.Fatal(err)
 	}
-	s, err := p.BuildSurfaces(ds, rsm.FullQuadratic(len(p.Factors)))
-	if err != nil {
-		log.Fatal(err)
-	}
+	s := built.Surfaces
 
 	// The designer's brief, as desirability shapes:
 	//  - packets: worthless below 2, fully satisfying at 12+;
@@ -43,7 +40,7 @@ func main() {
 		{Response: core.RespNetMargin, Shape: opt.Larger{Lo: -3, Hi: 0.5}, Weight: 2},
 		{Response: core.RespFirstTx, Shape: opt.Smaller{Lo: 5, Hi: 25}},
 	}
-	res, err := s.OptimizeDesirability(goals, 6, 1)
+	res, err := s.OptimizeDesirability(context.Background(), goals, 6, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

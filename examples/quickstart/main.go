@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("running %d simulations (%s)...\n", design.N(), design.Name)
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func main() {
 	fmt.Printf("what-if at coded %v: %.1f packets, %.2f mJ margin (no simulation run)\n\n", probe, pkts, margin)
 
 	// Optimize stored energy on the surface; one confirming simulation.
-	best, err := s.Optimize(core.RespStoredEnergy, true, 4, 1)
+	best, err := s.Optimize(context.Background(), core.RespStoredEnergy, true, 4, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

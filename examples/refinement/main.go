@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -48,7 +49,7 @@ func main() {
 		for j, f := range full.Factors {
 			coded[j] = f.Encode(nat[j])
 		}
-		resp, err := full.ResponsesAt(coded)
+		resp, err := full.ResponsesAt(context.Background(), coded)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		ds, err := prob.RunDesignParallel(design, 0)
+		ds, err := prob.RunDesign(context.Background(), design, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestEndToEndDesignFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := p.RunDesignParallel(design, 0)
+	ds, err := p.RunDesign(context.Background(), design, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestEndToEndDesignFlow(t *testing.T) {
 	}
 
 	// Phase 5: single-response optimum, confirmed against the simulator.
-	best, err := s.Optimize(core.RespStoredEnergy, true, 3, 1)
+	best, err := s.Optimize(context.Background(), core.RespStoredEnergy, true, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestEndToEndDesignFlow(t *testing.T) {
 		{Response: core.RespPackets, Shape: opt.Larger{Lo: 0, Hi: 8}},
 		{Response: core.RespNetMargin, Shape: opt.Larger{Lo: -4, Hi: 0.5}, Weight: 2},
 	}
-	comp, err := s.OptimizeDesirability(goals, 3, 2)
+	comp, err := s.OptimizeDesirability(context.Background(), goals, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

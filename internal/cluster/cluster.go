@@ -28,7 +28,7 @@
 // Determinism: the simulator is deterministic and design points are
 // distributed verbatim (encoding/json round-trips float64 exactly), so a
 // fleet build assembles a Dataset bit-identical to a local
-// RunDesignContext run — regardless of worker count, lease interleaving,
+// Problem.RunDesign run — regardless of worker count, lease interleaving,
 // or mid-build worker loss.
 package cluster
 
@@ -300,6 +300,14 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.PeerServed += o.PeerServed
 	s.PeerStores += o.PeerStores
 	s.Entries += o.Entries
+}
+
+// behind reports whether snapshot s was taken before o by the same
+// worker: its counters only grow, so any counter trailing o's marks s as
+// older.
+func (s *CacheStats) behind(o CacheStats) bool {
+	return s.Hits < o.Hits || s.Misses < o.Misses || s.PeerFetches < o.PeerFetches ||
+		s.PeerTimeouts < o.PeerTimeouts || s.PeerServed < o.PeerServed || s.PeerStores < o.PeerStores
 }
 
 // CacheWorkerView is one worker's slice of the fleet cache state, served

@@ -445,7 +445,9 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 		return HeartbeatResponse{Gone: true, Draining: c.draining}
 	}
 	w.lastBeat = time.Now()
-	if req.Cache != nil {
+	// Heartbeats race the worker's result uploads, so a snapshot taken
+	// before the one already recorded can arrive after it; keep the newer.
+	if req.Cache != nil && !req.Cache.behind(w.cache) {
 		w.cache = *req.Cache
 	}
 	return HeartbeatResponse{OK: true, Draining: c.draining, Map: c.mapIfNewerLocked(req.Generation)}
@@ -660,7 +662,7 @@ func (c *Coordinator) liveWorkersLocked() int {
 // RunDesign shards the design across the fleet and blocks until every
 // point has a row, the build fails, ctx is cancelled or the coordinator
 // drains. On success the Dataset is bit-identical to a local
-// Problem.RunDesignContext run of the same design (same deterministic
+// Problem.RunDesign run of the same design (same deterministic
 // engine, same column assembly order); on failure it carries the timing
 // and fault-recovery stats gathered so far, mirroring the local contract.
 func (c *Coordinator) RunDesign(ctx context.Context, spec JobSpec, d *doe.Design) (*core.Dataset, error) {

@@ -72,7 +72,7 @@ func fastConfig() Config {
 // comparisons.
 func localDataset(t *testing.T, design *doe.Design) *core.Dataset {
 	t.Helper()
-	ds, err := testProblem(0.6, 2).RunDesignContext(context.Background(), design, 4)
+	ds, err := testProblem(0.6, 2).RunDesign(context.Background(), design, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

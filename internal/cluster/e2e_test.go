@@ -106,7 +106,7 @@ func checkNoLeak(t *testing.T, before int) {
 }
 
 // TestFleetBuildMatchesLocal: a 3-worker httptest fleet produces a Dataset
-// bit-identical to a local RunDesignContext run, then drains cleanly with
+// bit-identical to a local Problem.RunDesign run, then drains cleanly with
 // no goroutine leak.
 func TestFleetBuildMatchesLocal(t *testing.T) {
 	before := runtime.NumGoroutine()

@@ -283,7 +283,14 @@ func TestShardMapLifecycle(t *testing.T) {
 		Results: runPoints(t, lr.Lease), Cache: &CacheStats{Misses: 9, Hits: 4}}); !rr.OK {
 		t.Fatalf("results rejected: %+v", rr)
 	}
+	// A heartbeat snapshot taken before that upload but arriving after it
+	// must not roll the counters back.
+	c.Heartbeat(HeartbeatRequest{Worker: "a", Epoch: regA.Epoch, Generation: 4,
+		Cache: &CacheStats{Misses: 5, Hits: 2}})
 	st = c.CacheState()
+	if st.Totals.Misses != 9 || st.Totals.Hits != 4 {
+		t.Fatalf("stale heartbeat rolled the fleet totals back: %+v", st.Totals)
+	}
 	if st.Map.Generation != 4 {
 		t.Fatalf("cleared suspicion must bump the map: generation %d, want 4", st.Map.Generation)
 	}

@@ -4,17 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/doe"
 	"repro/internal/obs"
 	"repro/internal/rsm"
 )
 
-// Build strategies accepted by BuildDataset-style entry points. "fixed"
-// simulates a whole named design up front (the original flow, bit-identical
-// to previous releases); "adaptive" grows the design sequentially, adding
-// D-optimal points only while they still improve the surfaces.
+// Build strategies. "fixed" simulates a whole named design up front (the
+// original flow, bit-identical to previous releases); "adaptive" grows the
+// design sequentially, adding D-optimal points only while they still
+// improve the surfaces (BuildSpec.Adaptive).
 const (
 	StrategyFixed    = "fixed"
 	StrategyAdaptive = "adaptive"
@@ -34,10 +33,9 @@ func FixedEquivalentPoints(k int) int { return 1<<uint(k) + 2*k + 3 }
 const adaptiveMaxPasses = 4
 
 // AdaptiveConfig tunes the sequential build loop. The zero value picks
-// defaults suitable for the full-quadratic models the toolkit fits.
+// defaults suitable for the full-quadratic models the toolkit fits; the
+// model, worker count and executor come from the BuildSpec.
 type AdaptiveConfig struct {
-	// Model defaults to rsm.FullQuadratic(k).
-	Model rsm.Model
 	// CandidateLevels is the per-factor resolution of the quantized
 	// candidate lattice (default 5 → levels −1, −0.5, 0, 0.5, 1 — the
 	// opt.Quantized step-0.25 grid, so optimizer revisits hit the simcache).
@@ -80,13 +78,6 @@ type AdaptiveConfig struct {
 	PRESSTol float64
 	// Seed feeds the initial D-optimal selection.
 	Seed int64
-	// Workers is the per-round simulation parallelism (≤0 = GOMAXPROCS).
-	Workers int
-	// RunDesign, when set, executes one round's design instead of the local
-	// RunDesignContext pool — the seam the cluster coordinator plugs into.
-	// Either way each round inherits the full PR 4/8 machinery: retries,
-	// deadlines, batch prepass, cache, cancellation.
-	RunDesign func(ctx context.Context, d *doe.Design) (*Dataset, error)
 }
 
 func (c *AdaptiveConfig) setDefaults(k int, model rsm.Model) {
@@ -167,15 +158,6 @@ type AdaptiveStats struct {
 	StopReason      string          `json:"stop_reason"`
 }
 
-// AdaptiveResult is the outcome of an adaptive build: the cumulative
-// dataset, the final surfaces (batch-refit, bit-identical to fitting the
-// same dataset with BuildSurfaces) and the per-round statistics.
-type AdaptiveResult struct {
-	Dataset  *Dataset
-	Surfaces *Surfaces
-	Stats    *AdaptiveStats
-}
-
 // roundQuality is the per-round convergence state across all responses.
 type roundQuality struct {
 	minR2, minAdjR2, minR2Pred float64
@@ -184,31 +166,19 @@ type roundQuality struct {
 	lofOK                      bool // every response passes a lack-of-fit gate
 }
 
-// RunAdaptive grows a design sequentially: simulate a small D-optimal
+// buildAdaptive grows a design sequentially: simulate a small D-optimal
 // seed, refit incrementally, and keep adding the D-optimally most
 // informative lattice points until the stopping rule — lack of fit
 // acceptable AND adjusted-R²/PRESS improvement below threshold — fires, or
-// the point budget runs out. Every round's simulations go through the same
-// pool as a fixed build (retries, deadlines, batch prepass, cluster
-// leases, simcache all apply unchanged).
-//
-// On a round failure the partial cumulative Dataset (Y-less, carrying
-// timing and fault-recovery stats) is returned alongside the error, like
-// RunDesignContext does.
-func (p *Problem) RunAdaptive(ctx context.Context, cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+// the point budget runs out. Every round's simulations go through run, the
+// same executor a fixed build uses. The cumulative dataset's SimTime is
+// the sum of its rounds' SimTime: design selection and refits between
+// rounds are not simulation time.
+func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model rsm.Model,
+	run func(context.Context, *doe.Design) (*Dataset, error)) (*BuildResult, error) {
 	k := len(p.Factors)
 	if k < 2 {
 		return nil, fmt.Errorf("core: adaptive builds need ≥2 factors, got %d", k)
-	}
-	model := cfg.Model
-	if model.K == 0 {
-		model = rsm.FullQuadratic(k)
-	}
-	if model.K != k {
-		return nil, fmt.Errorf("core: model has %d factors, problem has %d", model.K, k)
 	}
 	cfg.setDefaults(k, model)
 	lg := obs.FromContext(ctx)
@@ -234,13 +204,6 @@ func (p *Problem) RunAdaptive(ctx context.Context, cfg AdaptiveConfig) (*Adaptiv
 		}
 	}
 
-	runRound := cfg.RunDesign
-	if runRound == nil {
-		runRound = func(ctx context.Context, d *doe.Design) (*Dataset, error) {
-			return p.RunDesignContext(ctx, d, cfg.Workers)
-		}
-	}
-
 	fitters := make(map[ResponseID]*rsm.Fitter, len(p.Responses))
 	for _, id := range p.Responses {
 		f, err := rsm.NewFitter(model)
@@ -255,11 +218,12 @@ func (p *Problem) RunAdaptive(ctx context.Context, cfg AdaptiveConfig) (*Adaptiv
 		Y:      make(map[ResponseID][]float64, len(p.Responses)),
 	}
 	stats := &AdaptiveStats{FixedPoints: FixedEquivalentPoints(k)}
-	start := time.Now()
+	res := &BuildResult{Dataset: cum, Adaptive: stats}
 
 	// absorb merges one round's dataset into the cumulative one and feeds
 	// the incremental fitters.
 	absorb := func(ds *Dataset) error {
+		cum.SimTime += ds.SimTime
 		cum.SimWork += ds.SimWork
 		cum.Retries += ds.Retries
 		cum.PanicsRecovered += ds.PanicsRecovered
@@ -289,12 +253,11 @@ func (p *Problem) RunAdaptive(ctx context.Context, cfg AdaptiveConfig) (*Adaptiv
 		return nil
 	}
 
-	fail := func(err error) (*AdaptiveResult, error) {
-		cum.SimTime = time.Since(start)
+	fail := func(err error) (*BuildResult, error) {
 		// Even a failed build reports the points its completed rounds cost.
 		stats.PointsSimulated = cum.Design.N()
 		cum.Y = nil
-		return &AdaptiveResult{Dataset: cum, Stats: stats}, err
+		return res, err
 	}
 
 	// quality evaluates the current incremental fits against the stopping
@@ -358,51 +321,26 @@ func (p *Problem) RunAdaptive(ctx context.Context, cfg AdaptiveConfig) (*Adaptiv
 		return q, nil
 	}
 
-	record := func(round, added int, q *roundQuality) {
-		stats.Rounds = append(stats.Rounds, AdaptiveRound{
-			Round: round, Added: added, Points: cum.Design.N(),
-			MinR2: q.minR2, MinAdjR2: q.minAdjR2, MinR2Pred: q.minR2Pred,
-			WorstLackP: q.worstLackP, WorstLackFrac: q.worstLackFrac,
-		})
-	}
-
-	// Round 0: the seed design.
-	initial.Name = "adaptive-r0"
 	lg.Info("adaptive build started", "k", k, "initial", initial.N(),
 		"batch", cfg.BatchPoints, "min", cfg.MinPoints, "max", cfg.MaxPoints)
-	ds, err := runRound(ctx, initial)
-	if ds != nil {
-		if aerr := absorb(ds); err == nil && aerr != nil {
-			err = aerr
+	// Round 0 simulates the seed design; every later round the D-optimal
+	// augmentation of everything simulated so far.
+	var prev *roundQuality
+	for round := 0; ; round++ {
+		d := initial
+		if round > 0 {
+			add := cfg.BatchPoints
+			if cum.Design.N()+add > cfg.MaxPoints {
+				add = cfg.MaxPoints - cum.Design.N()
+			}
+			augmented, err := doe.AugmentDOptimal(cum.Design, candidates, add, model.Row, adaptiveMaxPasses)
+			if err != nil {
+				return fail(err)
+			}
+			d = &doe.Design{Runs: augmented.Runs[cum.Design.N():]}
 		}
-	}
-	if err != nil {
-		return fail(err)
-	}
-	prev, err := quality(cfg.Alpha)
-	if err != nil {
-		return fail(err)
-	}
-	record(0, initial.N(), prev)
-
-	for round := 1; ; round++ {
-		if cum.Design.N() >= cfg.MaxPoints {
-			stats.StopReason = StopMaxPoints
-			break
-		}
-		add := cfg.BatchPoints
-		if cum.Design.N()+add > cfg.MaxPoints {
-			add = cfg.MaxPoints - cum.Design.N()
-		}
-		augmented, err := doe.AugmentDOptimal(cum.Design, candidates, add, model.Row, adaptiveMaxPasses)
-		if err != nil {
-			return fail(err)
-		}
-		roundDesign := &doe.Design{
-			Name: fmt.Sprintf("adaptive-r%d", round),
-			Runs: augmented.Runs[cum.Design.N():],
-		}
-		ds, err := runRound(ctx, roundDesign)
+		d.Name = fmt.Sprintf("adaptive-r%d", round)
+		ds, err := run(ctx, d)
 		if ds != nil {
 			if aerr := absorb(ds); err == nil && aerr != nil {
 				err = aerr
@@ -415,7 +353,11 @@ func (p *Problem) RunAdaptive(ctx context.Context, cfg AdaptiveConfig) (*Adaptiv
 		if err != nil {
 			return fail(err)
 		}
-		record(round, roundDesign.N(), cur)
+		stats.Rounds = append(stats.Rounds, AdaptiveRound{
+			Round: round, Added: d.N(), Points: cum.Design.N(),
+			MinR2: cur.minR2, MinAdjR2: cur.minAdjR2, MinR2Pred: cur.minR2Pred,
+			WorstLackP: cur.worstLackP, WorstLackFrac: cur.worstLackFrac,
+		})
 		lg.Debug("adaptive round", "round", round, "points", cum.Design.N(),
 			"min_r2", cur.minR2, "worst_lack_frac", cur.worstLackFrac)
 
@@ -426,26 +368,24 @@ func (p *Problem) RunAdaptive(ctx context.Context, cfg AdaptiveConfig) (*Adaptiv
 			stats.StopReason = StopMaxPoints
 			break
 		}
-		if cum.Design.N() >= cfg.MinPoints && converged(prev, cur, &cfg) {
+		if prev != nil && cum.Design.N() >= cfg.MinPoints && converged(prev, cur, &cfg) {
 			stats.StopReason = StopConverged
 			break
 		}
 		prev = cur
 	}
 
-	cum.SimTime = time.Since(start)
 	stats.PointsSimulated = cum.Design.N()
 	if skipped := stats.FixedPoints - stats.PointsSimulated; skipped > 0 {
 		stats.PointsSkipped = skipped
 	}
-	surfaces, err := p.BuildSurfaces(cum, model)
-	if err != nil {
+	if res.Surfaces, err = p.BuildSurfaces(cum, model); err != nil {
 		return fail(err)
 	}
 	lg.Info("adaptive build finished", "points", stats.PointsSimulated,
 		"fixed_points", stats.FixedPoints, "rounds", len(stats.Rounds),
 		"stop", stats.StopReason)
-	return &AdaptiveResult{Dataset: cum, Surfaces: surfaces, Stats: stats}, nil
+	return res, nil
 }
 
 // converged applies the stopping rule: every response's lack of fit is

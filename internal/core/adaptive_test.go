@@ -86,24 +86,24 @@ func TestAdaptiveConvergesOnQuadraticTruth(t *testing.T) {
 	}
 	var rounds []string
 	var points int
-	res, err := p.RunAdaptive(context.Background(), AdaptiveConfig{
-		InitialPoints: 12, CenterReplicates: 2, BatchPoints: 3, MaxPoints: 60, Seed: 7,
-		RunDesign: analyticSeam(p, truth, &rounds, &points),
+	res, err := Build(context.Background(), BuildSpec{
+		Problem: p, Run: analyticSeam(p, truth, &rounds, &points),
+		Adaptive: &AdaptiveConfig{InitialPoints: 12, CenterReplicates: 2, BatchPoints: 3, MaxPoints: 60, Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.StopReason != StopConverged {
-		t.Fatalf("quadratic truth must converge, got %q after %d points", res.Stats.StopReason, res.Stats.PointsSimulated)
+	if res.Adaptive.StopReason != StopConverged {
+		t.Fatalf("quadratic truth must converge, got %q after %d points", res.Adaptive.StopReason, res.Adaptive.PointsSimulated)
 	}
-	if n := res.Stats.PointsSimulated; n > 26 {
+	if n := res.Adaptive.PointsSimulated; n > 26 {
 		t.Fatalf("an exactly-quadratic truth must stop near the minimum budget, used %d points", n)
 	}
-	if res.Stats.PointsSimulated != points {
-		t.Fatalf("stats claim %d points, seam saw %d", res.Stats.PointsSimulated, points)
+	if res.Adaptive.PointsSimulated != points {
+		t.Fatalf("stats claim %d points, seam saw %d", res.Adaptive.PointsSimulated, points)
 	}
-	if res.Stats.PointsSimulated != res.Dataset.Design.N() {
-		t.Fatalf("dataset has %d runs, stats claim %d", res.Dataset.Design.N(), res.Stats.PointsSimulated)
+	if res.Adaptive.PointsSimulated != res.Dataset.Design.N() {
+		t.Fatalf("dataset has %d runs, stats claim %d", res.Dataset.Design.N(), res.Adaptive.PointsSimulated)
 	}
 	// Round names and per-round stats must line up for JobView consumers.
 	for i, name := range rounds {
@@ -111,11 +111,11 @@ func TestAdaptiveConvergesOnQuadraticTruth(t *testing.T) {
 			t.Fatalf("round %d design named %q, want %q", i, name, want)
 		}
 	}
-	if len(res.Stats.Rounds) != len(rounds) {
-		t.Fatalf("%d round stats for %d executed rounds", len(res.Stats.Rounds), len(rounds))
+	if len(res.Adaptive.Rounds) != len(rounds) {
+		t.Fatalf("%d round stats for %d executed rounds", len(res.Adaptive.Rounds), len(rounds))
 	}
 	sum := 0
-	for i, r := range res.Stats.Rounds {
+	for i, r := range res.Adaptive.Rounds {
 		if r.Round != i {
 			t.Fatalf("round index %d at position %d", r.Round, i)
 		}
@@ -124,8 +124,8 @@ func TestAdaptiveConvergesOnQuadraticTruth(t *testing.T) {
 			t.Fatalf("round %d cumulative points %d, want %d", i, r.Points, sum)
 		}
 	}
-	if sum != res.Stats.PointsSimulated {
-		t.Fatalf("round Added sums to %d, stats claim %d", sum, res.Stats.PointsSimulated)
+	if sum != res.Adaptive.PointsSimulated {
+		t.Fatalf("round Added sums to %d, stats claim %d", sum, res.Adaptive.PointsSimulated)
 	}
 	// The fit must reproduce the analytic truth (it is inside the basis).
 	for _, x := range [][]float64{{0.3, -0.7, 0.1}, {-1, 1, -1}, {0.25, 0.25, -0.5}} {
@@ -138,11 +138,11 @@ func TestAdaptiveConvergesOnQuadraticTruth(t *testing.T) {
 		}
 	}
 	// Savings bookkeeping against the fixed reference.
-	if res.Stats.FixedPoints != FixedEquivalentPoints(3) {
-		t.Fatalf("fixed reference %d, want %d", res.Stats.FixedPoints, FixedEquivalentPoints(3))
+	if res.Adaptive.FixedPoints != FixedEquivalentPoints(3) {
+		t.Fatalf("fixed reference %d, want %d", res.Adaptive.FixedPoints, FixedEquivalentPoints(3))
 	}
-	if res.Stats.PointsSkipped != res.Stats.FixedPoints-res.Stats.PointsSimulated {
-		t.Fatalf("skipped %d, want %d", res.Stats.PointsSkipped, res.Stats.FixedPoints-res.Stats.PointsSimulated)
+	if res.Adaptive.PointsSkipped != res.Adaptive.FixedPoints-res.Adaptive.PointsSimulated {
+		t.Fatalf("skipped %d, want %d", res.Adaptive.PointsSkipped, res.Adaptive.FixedPoints-res.Adaptive.PointsSimulated)
 	}
 }
 
@@ -152,24 +152,24 @@ func TestAdaptiveStopsAtMaxPoints(t *testing.T) {
 		RespHarvestedPower: spikyTruth,
 		RespNetMargin:      func(x []float64) float64 { return spikyTruth(x) + x[0] },
 	}
-	res, err := p.RunAdaptive(context.Background(), AdaptiveConfig{
-		InitialPoints: 12, CenterReplicates: 2, BatchPoints: 6, MinPoints: 23, MaxPoints: 23, Seed: 7,
-		RunDesign: analyticSeam(p, truth, nil, nil),
+	res, err := Build(context.Background(), BuildSpec{
+		Problem: p, Run: analyticSeam(p, truth, nil, nil),
+		Adaptive: &AdaptiveConfig{InitialPoints: 12, CenterReplicates: 2, BatchPoints: 6, MinPoints: 23, MaxPoints: 23, Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.StopReason != StopMaxPoints {
-		t.Fatalf("spiky truth must exhaust the budget, got %q", res.Stats.StopReason)
+	if res.Adaptive.StopReason != StopMaxPoints {
+		t.Fatalf("spiky truth must exhaust the budget, got %q", res.Adaptive.StopReason)
 	}
 	// The final round is clipped so the budget is hit exactly, never passed.
-	if res.Stats.PointsSimulated != 23 {
-		t.Fatalf("budget of 23 must be hit exactly, simulated %d", res.Stats.PointsSimulated)
+	if res.Adaptive.PointsSimulated != 23 {
+		t.Fatalf("budget of 23 must be hit exactly, simulated %d", res.Adaptive.PointsSimulated)
 	}
 	// The k=3 fixed reference (17 runs) is below this budget, so the
 	// skipped count clamps at zero rather than going negative.
-	if res.Stats.PointsSkipped != 0 {
-		t.Fatalf("skipped must clamp at 0 when adaptive costs more, got %d", res.Stats.PointsSkipped)
+	if res.Adaptive.PointsSkipped != 0 {
+		t.Fatalf("skipped must clamp at 0 when adaptive costs more, got %d", res.Adaptive.PointsSkipped)
 	}
 }
 
@@ -178,11 +178,11 @@ func TestAdaptiveDeterministicAndOnLattice(t *testing.T) {
 		RespHarvestedPower: spikyTruth,
 		RespNetMargin:      quadTruth,
 	}
-	run := func(seed int64) *AdaptiveResult {
+	run := func(seed int64) *BuildResult {
 		p := seamProblem(3)
-		res, err := p.RunAdaptive(context.Background(), AdaptiveConfig{
-			InitialPoints: 12, CenterReplicates: 2, BatchPoints: 3, MaxPoints: 30, Seed: seed,
-			RunDesign: analyticSeam(p, truth, nil, nil),
+		res, err := Build(context.Background(), BuildSpec{
+			Problem: p, Run: analyticSeam(p, truth, nil, nil),
+			Adaptive: &AdaptiveConfig{InitialPoints: 12, CenterReplicates: 2, BatchPoints: 3, MaxPoints: 30, Seed: seed},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -190,8 +190,8 @@ func TestAdaptiveDeterministicAndOnLattice(t *testing.T) {
 		return res
 	}
 	a, b := run(3), run(3)
-	if a.Stats.PointsSimulated != b.Stats.PointsSimulated {
-		t.Fatalf("same seed, different budgets: %d vs %d", a.Stats.PointsSimulated, b.Stats.PointsSimulated)
+	if a.Adaptive.PointsSimulated != b.Adaptive.PointsSimulated {
+		t.Fatalf("same seed, different budgets: %d vs %d", a.Adaptive.PointsSimulated, b.Adaptive.PointsSimulated)
 	}
 	for i, run := range a.Dataset.Design.Runs {
 		for j, v := range run {
@@ -216,6 +216,35 @@ func TestAdaptiveDeterministicAndOnLattice(t *testing.T) {
 	}
 }
 
+// TestAdaptiveSimTimeSumsRounds: an adaptive dataset's SimTime is the sum
+// of its rounds' SimTime. The D-optimal selections and refits between
+// rounds are not simulation time, so an executor that reports a fixed
+// SimTime without sleeping must add up exactly.
+func TestAdaptiveSimTimeSumsRounds(t *testing.T) {
+	p := seamProblem(3)
+	truth := map[ResponseID]func([]float64) float64{
+		RespHarvestedPower: quadTruth,
+		RespNetMargin:      spikyTruth,
+	}
+	inner := analyticSeam(p, truth, nil, nil)
+	const perRound = time.Second
+	res, err := Build(context.Background(), BuildSpec{
+		Problem:  p,
+		Adaptive: &AdaptiveConfig{InitialPoints: 12, CenterReplicates: 2, BatchPoints: 3, MaxPoints: 30, Seed: 7},
+		Run: func(ctx context.Context, d *doe.Design) (*Dataset, error) {
+			ds, err := inner(ctx, d)
+			ds.SimTime = perRound
+			return ds, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := time.Duration(len(res.Adaptive.Rounds)) * perRound; res.Dataset.SimTime != want {
+		t.Fatalf("SimTime %v over %d rounds, want their sum %v", res.Dataset.SimTime, len(res.Adaptive.Rounds), want)
+	}
+}
+
 func TestAdaptivePartialDatasetOnRoundFailure(t *testing.T) {
 	p := seamProblem(3)
 	truth := map[ResponseID]func([]float64) float64{
@@ -224,13 +253,14 @@ func TestAdaptivePartialDatasetOnRoundFailure(t *testing.T) {
 	}
 	inner := analyticSeam(p, truth, nil, nil)
 	calls := 0
-	res, err := p.RunAdaptive(context.Background(), AdaptiveConfig{
-		InitialPoints: 12, CenterReplicates: 2, BatchPoints: 3, MinPoints: 30, MaxPoints: 40, Seed: 7,
-		RunDesign: func(ctx context.Context, d *doe.Design) (*Dataset, error) {
+	res, err := Build(context.Background(), BuildSpec{
+		Problem:  p,
+		Adaptive: &AdaptiveConfig{InitialPoints: 12, CenterReplicates: 2, BatchPoints: 3, MinPoints: 30, MaxPoints: 40, Seed: 7},
+		Run: func(ctx context.Context, d *doe.Design) (*Dataset, error) {
 			calls++
 			if calls == 3 {
 				// A mid-round failure still hands back whatever stats the
-				// round produced, like RunDesignContext does.
+				// round produced, like RunDesign does.
 				return &Dataset{Design: &doe.Design{}, SimWork: time.Millisecond, Retries: 2}, errors.New("round blew up")
 			}
 			return inner(ctx, d)
@@ -251,8 +281,8 @@ func TestAdaptivePartialDatasetOnRoundFailure(t *testing.T) {
 	if res.Surfaces != nil {
 		t.Fatal("no surfaces on failure")
 	}
-	if len(res.Stats.Rounds) != 2 {
-		t.Fatalf("the two completed rounds must keep their stats, got %d", len(res.Stats.Rounds))
+	if len(res.Adaptive.Rounds) != 2 {
+		t.Fatalf("the two completed rounds must keep their stats, got %d", len(res.Adaptive.Rounds))
 	}
 }
 
@@ -266,9 +296,10 @@ func TestAdaptiveContextCancelMidBuild(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls := 0
-	_, err := p.RunAdaptive(ctx, AdaptiveConfig{
-		InitialPoints: 12, CenterReplicates: 2, BatchPoints: 3, MaxPoints: 40, Seed: 7,
-		RunDesign: func(ctx context.Context, d *doe.Design) (*Dataset, error) {
+	_, err := Build(ctx, BuildSpec{
+		Problem:  p,
+		Adaptive: &AdaptiveConfig{InitialPoints: 12, CenterReplicates: 2, BatchPoints: 3, MaxPoints: 40, Seed: 7},
+		Run: func(ctx context.Context, d *doe.Design) (*Dataset, error) {
 			calls++
 			if calls == 2 {
 				cancel()
@@ -285,16 +316,16 @@ func TestAdaptiveContextCancelMidBuild(t *testing.T) {
 func TestAdaptiveValidation(t *testing.T) {
 	// Single-factor problems have no useful D-optimal augmentation.
 	p1 := seamProblem(1)
-	if _, err := p1.RunAdaptive(context.Background(), AdaptiveConfig{}); err == nil {
+	if _, err := Build(context.Background(), BuildSpec{Problem: p1, Adaptive: &AdaptiveConfig{}}); err == nil {
 		t.Fatal("k=1 must be rejected")
 	}
 	// Model width must match the problem.
 	p := seamProblem(3)
-	if _, err := p.RunAdaptive(context.Background(), AdaptiveConfig{Model: rsm.FullQuadratic(2)}); err == nil {
+	if _, err := Build(context.Background(), BuildSpec{Problem: p, Model: rsm.FullQuadratic(2), Adaptive: &AdaptiveConfig{}}); err == nil {
 		t.Fatal("model/problem factor mismatch must be rejected")
 	}
 	// The candidate lattice must be able to seat the initial design.
-	if _, err := p.RunAdaptive(context.Background(), AdaptiveConfig{CandidateLevels: 2, InitialPoints: 20}); err == nil || !strings.Contains(err.Error(), "candidate lattice") {
+	if _, err := Build(context.Background(), BuildSpec{Problem: p, Adaptive: &AdaptiveConfig{CandidateLevels: 2, InitialPoints: 20}}); err == nil || !strings.Contains(err.Error(), "candidate lattice") {
 		t.Fatalf("oversized initial design must name the lattice, got %v", err)
 	}
 }
@@ -330,7 +361,7 @@ func TestAdaptiveChaosFaultsMidRound(t *testing.T) {
 	p.Retry.BaseDelay = time.Millisecond
 	p.Retry.MaxDelay = 2 * time.Millisecond
 
-	res, err := p.RunAdaptive(context.Background(), AdaptiveConfig{Seed: 4, Workers: 4})
+	res, err := Build(context.Background(), BuildSpec{Problem: p, Workers: 4, Adaptive: &AdaptiveConfig{Seed: 4}})
 	if err != nil {
 		t.Fatalf("adaptive build must ride out transient mid-round faults: %v", err)
 	}
@@ -340,19 +371,19 @@ func TestAdaptiveChaosFaultsMidRound(t *testing.T) {
 	if res.Dataset.Retries == 0 {
 		t.Fatal("retries must be visible in the cumulative dataset")
 	}
-	if res.Stats.StopReason != StopConverged && res.Stats.StopReason != StopMaxPoints {
-		t.Fatalf("unexpected stop reason %q", res.Stats.StopReason)
+	if res.Adaptive.StopReason != StopConverged && res.Adaptive.StopReason != StopMaxPoints {
+		t.Fatalf("unexpected stop reason %q", res.Adaptive.StopReason)
 	}
-	if res.Stats.PointsSimulated > FixedEquivalentPoints(4) {
+	if res.Adaptive.PointsSimulated > FixedEquivalentPoints(4) {
 		t.Fatalf("adaptive build must never cost more than the fixed reference: %d > %d",
-			res.Stats.PointsSimulated, FixedEquivalentPoints(4))
+			res.Adaptive.PointsSimulated, FixedEquivalentPoints(4))
 	}
 	if res.Surfaces == nil {
 		t.Fatal("converged build must carry surfaces")
 	}
 	for _, id := range p.Responses {
-		if len(res.Dataset.Y[id]) != res.Stats.PointsSimulated {
-			t.Fatalf("response %q has %d values for %d points", id, len(res.Dataset.Y[id]), res.Stats.PointsSimulated)
+		if len(res.Dataset.Y[id]) != res.Adaptive.PointsSimulated {
+			t.Fatalf("response %q has %d values for %d points", id, len(res.Dataset.Y[id]), res.Adaptive.PointsSimulated)
 		}
 	}
 }

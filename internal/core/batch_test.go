@@ -35,7 +35,7 @@ func TestEngineBatchMatchesFastBitwise(t *testing.T) {
 
 	fast := quickProblem()
 	fast.Runner = simcache.New(simcache.Options{})
-	want, err := fast.RunDesignContext(context.Background(), d, 2)
+	want, err := fast.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestEngineBatchMatchesFastBitwise(t *testing.T) {
 	}
 
 	bp := batchProblem()
-	got, err := bp.RunDesignContext(context.Background(), d, 2)
+	got, err := bp.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestBatchAllLanesCachedShortCircuits(t *testing.T) {
 	}
 	p := batchProblem()
 
-	first, err := p.RunDesignContext(context.Background(), d, 2)
+	first, err := p.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBatchAllLanesCachedShortCircuits(t *testing.T) {
 	}
 	unique := first.Batch.Lanes + first.Batch.Peeled
 
-	second, err := p.RunDesignContext(context.Background(), d, 2)
+	second, err := p.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPrewarmBatchOpaqueRunner(t *testing.T) {
 	p := batchProblem()
 	p.Runner = passRunner{}
 
-	ds, err := p.RunDesignContext(context.Background(), d, 2)
+	ds, err := p.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPrewarmBatchOpaqueRunner(t *testing.T) {
 
 	fast := quickProblem()
 	fast.Runner = passRunner{}
-	want, err := fast.RunDesignContext(context.Background(), d, 2)
+	want, err := fast.RunDesign(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

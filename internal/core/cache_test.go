@@ -48,7 +48,7 @@ func TestSimWorkAccountingUnderCacheHits(t *testing.T) {
 		{1, 1, 1}, {-1, -1, -1},
 	}}
 
-	ds1, err := p.RunDesignContext(context.Background(), design, workers)
+	ds1, err := p.RunDesign(context.Background(), design, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSimWorkAccountingUnderCacheHits(t *testing.T) {
 		t.Fatalf("replicates not shared: %d hits + %d dedup, want 2 total", st.Hits, st.DedupHits)
 	}
 
-	ds2, err := p.RunDesignContext(context.Background(), design, workers)
+	ds2, err := p.RunDesign(context.Background(), design, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestValidateTwiceIsCachedAndIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := p.RunDesignParallel(design, 0)
+	ds, err := p.RunDesign(context.Background(), design, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestValidateTwiceIsCachedAndIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	misses := c.Stats().Misses
-	rep1, err := s.Validate(6, 99)
+	rep1, err := s.Validate(context.Background(), 6, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestValidateTwiceIsCachedAndIdentical(t *testing.T) {
 	if missesAfter <= misses {
 		t.Fatal("first validation must simulate fresh points")
 	}
-	rep2, err := s.Validate(6, 99)
+	rep2, err := s.Validate(context.Background(), 6, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCustomEngineWithoutNameBypassesCache(t *testing.T) {
 	c := simcache.New(simcache.Options{})
 	p.Runner = c
 	for i := 0; i < 2; i++ {
-		if _, err := p.ResponsesAt([]float64{0, 0, 0}); err != nil {
+		if _, err := p.ResponsesAt(context.Background(), []float64{0, 0, 0}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,8 +8,9 @@
 //     factor values to a complete sim.Design + excitation scenario, and the
 //     performance indicators (responses) of interest.
 //  2. Pick a DoE plan (internal/doe) and run the full-system simulator at
-//     its design points (RunDesign) — the "moderate number of simulations".
-//  3. Fit one response surface per indicator (BuildSurfaces).
+//     its design points — the "moderate number of simulations".
+//  3. Fit one response surface per indicator. Build runs steps 2 and 3 as
+//     one pipeline, for fixed and adaptive plans alike.
 //  4. Explore trade-offs and optimize on the surfaces practically
 //     instantly; confirm the chosen design with a single simulation
 //     (Surfaces.Optimize, Surfaces.Validate).
@@ -187,14 +188,9 @@ func (p *Problem) runSim(ctx context.Context, d sim.Design, cfg sim.Config) (*si
 }
 
 // SimulateCoded runs one simulation at a coded design point and returns
-// the raw result.
-func (p *Problem) SimulateCoded(coded []float64) (*sim.Result, error) {
-	return p.SimulateCodedContext(context.Background(), coded)
-}
-
-// SimulateCodedContext is SimulateCoded with an explicit context: the
-// runner sees the caller's cancellation and trace.
-func (p *Problem) SimulateCodedContext(ctx context.Context, coded []float64) (*sim.Result, error) {
+// the raw result. ctx carries the caller's cancellation and trace down to
+// the runner.
+func (p *Problem) SimulateCoded(ctx context.Context, coded []float64) (*sim.Result, error) {
 	natural, err := doe.DecodeRun(p.Factors, coded)
 	if err != nil {
 		return nil, err
@@ -208,18 +204,13 @@ func (p *Problem) SimulateCodedContext(ctx context.Context, coded []float64) (*s
 }
 
 // ResponsesAt runs one simulation at a coded point and extracts every
-// problem response.
-func (p *Problem) ResponsesAt(coded []float64) (map[ResponseID]float64, error) {
-	return p.ResponsesAtContext(context.Background(), coded)
-}
-
-// ResponsesAtContext is ResponsesAt with an explicit context, threading
-// cancellation and the observability trace through to the simulation
-// runner. Extracted responses are checked for numeric validity: a NaN or
-// ±Inf value (a stiff solver corner, an injected fault) is rejected with
-// a typed *NumericError before it can poison an RSM fit.
-func (p *Problem) ResponsesAtContext(ctx context.Context, coded []float64) (map[ResponseID]float64, error) {
-	r, err := p.SimulateCodedContext(ctx, coded)
+// problem response, threading cancellation and the observability trace
+// through to the simulation runner. Extracted responses are checked for
+// numeric validity: a NaN or ±Inf value (a stiff solver corner, an
+// injected fault) is rejected with a typed *NumericError before it can
+// poison an RSM fit.
+func (p *Problem) ResponsesAt(ctx context.Context, coded []float64) (map[ResponseID]float64, error) {
+	r, err := p.SimulateCoded(ctx, coded)
 	if err != nil {
 		return nil, err
 	}
@@ -239,9 +230,11 @@ func (p *Problem) ResponsesAtContext(ctx context.Context, coded []float64) (map[
 
 // Dataset holds the simulated responses at every design point.
 type Dataset struct {
-	Design  *doe.Design
-	Y       map[ResponseID][]float64
-	SimTime time.Duration // simulator wall-clock time (start to finish)
+	Design *doe.Design
+	Y      map[ResponseID][]float64
+	// SimTime is the simulator wall-clock time, start to finish; an
+	// adaptive build's is the sum over its rounds.
+	SimTime time.Duration
 	// SimWork is the sum of the individual run durations. With a serial
 	// runner it equals SimTime; with a worker pool the ratio
 	// SimWork/SimTime is the achieved parallel speedup.
@@ -263,44 +256,6 @@ func (ds *Dataset) Speedup() float64 {
 		return 0
 	}
 	return float64(ds.SimWork) / float64(ds.SimTime)
-}
-
-// RunDesign simulates every run of the design — the expensive, up-front
-// phase of the flow.
-func (p *Problem) RunDesign(d *doe.Design) (*Dataset, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if d.N() == 0 {
-		return nil, fmt.Errorf("core: empty design")
-	}
-	if d.K() != len(p.Factors) {
-		return nil, fmt.Errorf("core: design has %d factors, problem has %d", d.K(), len(p.Factors))
-	}
-	ds := &Dataset{Design: d, Y: make(map[ResponseID][]float64, len(p.Responses))}
-	for _, id := range p.Responses {
-		ds.Y[id] = make([]float64, 0, d.N())
-	}
-	start := time.Now()
-	for i, run := range d.Runs {
-		runStart := time.Now()
-		resp, st, err := p.runWithRetry(context.Background(), i, run)
-		ds.SimWork += time.Since(runStart)
-		ds.Retries += st.retries
-		ds.PanicsRecovered += st.panics
-		if err != nil {
-			ds.SimTime = time.Since(start)
-			ds.Y = nil
-			// ds still carries the timing and fault-recovery stats of the
-			// aborted design run, so callers can surface them.
-			return ds, wrapRunErr(i, st, err)
-		}
-		for _, id := range p.Responses {
-			ds.Y[id] = append(ds.Y[id], resp[id])
-		}
-	}
-	ds.SimTime = time.Since(start)
-	return ds, nil
 }
 
 // Surfaces is the set of fitted response surfaces — the captured design
@@ -365,7 +320,7 @@ type OptimizeResult struct {
 // Optimize maximizes (or minimizes) a response on its surface with
 // multi-start Nelder–Mead, then confirms the winner with a single
 // simulation — the flow's final verification step.
-func (s *Surfaces) Optimize(id ResponseID, maximize bool, starts int, seed int64) (*OptimizeResult, error) {
+func (s *Surfaces) Optimize(ctx context.Context, id ResponseID, maximize bool, starts int, seed int64) (*OptimizeResult, error) {
 	fit, ok := s.Fits[id]
 	if !ok {
 		return nil, fmt.Errorf("core: no surface for %q", id)
@@ -393,7 +348,7 @@ func (s *Surfaces) Optimize(id ResponseID, maximize bool, starts int, seed int64
 		}
 	}
 	pred := fit.Predict(best.X)
-	resp, err := s.Problem.ResponsesAt(best.X)
+	resp, err := s.Problem.ResponsesAt(ctx, best.X)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +389,7 @@ type ValidationReport struct {
 // Validate draws n uniform random coded points, simulates each, and
 // compares every response surface's prediction against the simulation —
 // reproduction table R-T3's generator.
-func (s *Surfaces) Validate(n int, seed int64) (*ValidationReport, error) {
+func (s *Surfaces) Validate(ctx context.Context, n int, seed int64) (*ValidationReport, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: need ≥1 validation point, got %d", n)
 	}
@@ -451,7 +406,7 @@ func (s *Surfaces) Validate(n int, seed int64) (*ValidationReport, error) {
 	simVals := make(map[ResponseID][]float64, len(s.Problem.Responses))
 	startSim := time.Now()
 	for _, x := range points {
-		resp, err := s.Problem.ResponsesAt(x)
+		resp, err := s.Problem.ResponsesAt(ctx, x)
 		if err != nil {
 			return nil, err
 		}

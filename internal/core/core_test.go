@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestRunDesignAndSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestRunDesignAndSurfaces(t *testing.T) {
 
 func TestRunDesignValidation(t *testing.T) {
 	p := quickProblem()
-	if _, err := p.RunDesign(&doe.Design{}); err == nil {
+	if _, err := p.RunDesign(context.Background(), &doe.Design{}, 1); err == nil {
 		t.Fatal("empty design must error")
 	}
 	d4, _ := doe.TwoLevelFactorial(4)
-	if _, err := p.RunDesign(d4); err == nil {
+	if _, err := p.RunDesign(context.Background(), d4, 1); err == nil {
 		t.Fatal("factor-count mismatch must error")
 	}
 }
@@ -150,7 +151,7 @@ func TestRunDesignValidation(t *testing.T) {
 func TestBuildSurfacesValidation(t *testing.T) {
 	p := quickProblem()
 	design, _ := doe.CentralComposite(3, doe.CCF, 2)
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestValidationReportAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestValidationReportAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Validate(8, 42)
+	rep, err := s.Validate(context.Background(), 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestValidationReportAccuracy(t *testing.T) {
 			t.Fatalf("stored-energy mean relative error %v too large", row.MeanRelErr)
 		}
 	}
-	if _, err := s.Validate(0, 1); err == nil {
+	if _, err := s.Validate(context.Background(), 0, 1); err == nil {
 		t.Fatal("n=0 must error")
 	}
 }
@@ -213,7 +214,7 @@ func TestOptimizeConfirmsWithSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestOptimizeConfirmsWithSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Optimize(RespStoredEnergy, true, 3, 7)
+	res, err := s.Optimize(context.Background(), RespStoredEnergy, true, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +239,14 @@ func TestOptimizeConfirmsWithSimulation(t *testing.T) {
 	}
 	// The surface optimum must be at least as good as the design centre
 	// when simulated.
-	centre, err := p.ResponsesAt([]float64{0, 0, 0})
+	centre, err := p.ResponsesAt(context.Background(), []float64{0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Confirmed < centre[RespStoredEnergy]*0.8 {
 		t.Fatalf("confirmed optimum %v worse than centre %v", res.Confirmed, centre[RespStoredEnergy])
 	}
-	if _, err := s.Optimize(ResponseID("nope"), true, 1, 1); err == nil {
+	if _, err := s.Optimize(context.Background(), ResponseID("nope"), true, 1, 1); err == nil {
 		t.Fatal("unknown response must error")
 	}
 }
@@ -253,11 +254,11 @@ func TestOptimizeConfirmsWithSimulation(t *testing.T) {
 func TestSimulateCodedMatchesResponsesAt(t *testing.T) {
 	p := quickProblem()
 	x := []float64{0.5, -0.5, 0}
-	r, err := p.SimulateCoded(x)
+	r, err := p.SimulateCoded(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := p.ResponsesAt(x)
+	resp, err := p.ResponsesAt(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +274,11 @@ func TestSimulateCodedMatchesResponsesAt(t *testing.T) {
 func TestStandardProblemFactorsDriveTheSystem(t *testing.T) {
 	p := StandardProblem(0.6, 20)
 	// Longer period (factor 0 high) must produce fewer packets.
-	fast, err := p.ResponsesAt([]float64{-1, 0, 0, 0})
+	fast, err := p.ResponsesAt(context.Background(), []float64{-1, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := p.ResponsesAt([]float64{1, 0, 0, 0})
+	slow, err := p.ResponsesAt(context.Background(), []float64{1, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +286,11 @@ func TestStandardProblemFactorsDriveTheSystem(t *testing.T) {
 		t.Fatalf("period factor inert: %v vs %v packets", slow[RespPackets], fast[RespPackets])
 	}
 	// Frequency offset (factor 3) away from resonance must cut harvest.
-	onRes, err := p.ResponsesAt([]float64{0, 0, 0, 0})
+	onRes, err := p.ResponsesAt(context.Background(), []float64{0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	offRes, err := p.ResponsesAt([]float64{0, 0, 0, 1})
+	offRes, err := p.ResponsesAt(context.Background(), []float64{0, 0, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,22 +13,89 @@ import (
 	"repro/internal/doe"
 	"repro/internal/obs"
 	"repro/internal/opt"
+	"repro/internal/rsm"
 )
 
-// RunDesignParallel simulates the design's runs across a worker pool —
-// DoE runs are embarrassingly parallel, so the "moderate number of
-// simulations" amortizes across cores. workers ≤ 0 uses GOMAXPROCS.
-func (p *Problem) RunDesignParallel(d *doe.Design, workers int) (*Dataset, error) {
-	return p.RunDesignContext(context.Background(), d, workers)
+// BuildSpec describes one build: the problem, the plan that picks its
+// design points, the model fitted to them and the executor that simulates
+// them.
+type BuildSpec struct {
+	Problem *Problem
+	// Design is the plan of a fixed build, simulated in one round.
+	Design *doe.Design
+	// Adaptive, when set, grows the design sequentially instead of
+	// simulating Design; the loop picks every point itself.
+	Adaptive *AdaptiveConfig
+	// Model defaults to rsm.FullQuadratic(k).
+	Model rsm.Model
+	// Workers is the local pool's simulation parallelism (≤0 = GOMAXPROCS).
+	Workers int
+	// Run simulates one round's design. nil means the local pool
+	// (Problem.RunDesign with Workers), which also runs the batch engine;
+	// the cluster coordinator plugs in here. Either way each run gets the
+	// problem's retries, deadlines, cache and cancellation.
+	Run func(ctx context.Context, d *doe.Design) (*Dataset, error)
 }
 
-// RunDesignContext is RunDesignParallel with cancellation: when ctx is
+// BuildResult is the outcome of a build: the dataset, the fitted surfaces
+// and, for adaptive builds, the per-round statistics.
+type BuildResult struct {
+	Dataset  *Dataset
+	Surfaces *Surfaces
+	Adaptive *AdaptiveStats
+}
+
+// Build runs the flow end to end: simulate the plan's design points, then
+// fit the model to every response. A fixed build (Adaptive nil) is a
+// single round: one executor call and one BuildSurfaces. An adaptive build
+// repeats simulate-and-refit rounds until its stopping rule fires.
+//
+// Once simulation has started, a failed build still returns a non-nil
+// result whose Y-less Dataset carries the timing, fault-recovery and batch
+// stats of the rounds run, plus the per-round stats of an adaptive build.
+func Build(ctx context.Context, spec BuildSpec) (*BuildResult, error) {
+	p := spec.Problem
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	k := len(p.Factors)
+	model := spec.Model
+	if model.K == 0 {
+		model = rsm.FullQuadratic(k)
+	}
+	if model.K != k {
+		return nil, fmt.Errorf("core: model has %d factors, problem has %d", model.K, k)
+	}
+	run := spec.Run
+	if run == nil {
+		run = func(ctx context.Context, d *doe.Design) (*Dataset, error) {
+			return p.RunDesign(ctx, d, spec.Workers)
+		}
+	}
+	if spec.Adaptive != nil {
+		return p.buildAdaptive(ctx, *spec.Adaptive, model, run)
+	}
+	if spec.Design == nil {
+		return nil, fmt.Errorf("core: a fixed build needs a design")
+	}
+	ds, err := run(ctx, spec.Design)
+	res := &BuildResult{Dataset: ds}
+	if err != nil {
+		return res, err
+	}
+	res.Surfaces, err = p.BuildSurfaces(ds, model)
+	return res, err
+}
+
+// RunDesign simulates the design's runs across a worker pool — DoE runs
+// are embarrassingly parallel, so the "moderate number of simulations"
+// amortizes across cores. workers ≤ 0 uses GOMAXPROCS. When ctx is
 // cancelled — or as soon as any run fails — the remaining simulations are
-// abandoned instead of running to completion. This is what a long-lived
-// server's job runner needs: early abort on error and cancel-on-shutdown.
-// Workers never start a run after the abort signal; runs already in flight
-// finish (the simulator itself is not preemptible) and are discarded.
-func (p *Problem) RunDesignContext(ctx context.Context, d *doe.Design, workers int) (*Dataset, error) {
+// abandoned instead of running to completion: early abort on error and
+// cancel-on-shutdown. Workers never start a run after the abort signal;
+// runs already in flight finish (the simulator itself is not preemptible)
+// and are discarded.
+func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*Dataset, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -217,7 +284,7 @@ type DesirabilityResult struct {
 // OptimizeDesirability finds the design maximizing the Derringer–Suich
 // composite desirability of several responses on the fitted surfaces
 // (multi-start Nelder–Mead), then confirms it with one simulation.
-func (s *Surfaces) OptimizeDesirability(goals []DesirabilityGoal, starts int, seed int64) (*DesirabilityResult, error) {
+func (s *Surfaces) OptimizeDesirability(ctx context.Context, goals []DesirabilityGoal, starts int, seed int64) (*DesirabilityResult, error) {
 	if len(goals) == 0 {
 		return nil, fmt.Errorf("core: need ≥1 desirability goal")
 	}
@@ -267,7 +334,7 @@ func (s *Surfaces) OptimizeDesirability(goals []DesirabilityGoal, starts int, se
 		Simulated: make(map[ResponseID]float64, len(goals)),
 		Evals:     totalEvals,
 	}
-	sim, err := s.Problem.ResponsesAt(best.X)
+	sim, err := s.Problem.ResponsesAt(ctx, best.X)
 	if err != nil {
 		return nil, err
 	}

@@ -19,11 +19,17 @@ func TestRunDesignParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := p.RunDesign(design)
-	if err != nil {
-		t.Fatal(err)
+	serial := &Dataset{Y: map[ResponseID][]float64{}}
+	for _, x := range design.Runs {
+		resp, err := p.ResponsesAt(context.Background(), x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range p.Responses {
+			serial.Y[id] = append(serial.Y[id], resp[id])
+		}
 	}
-	parallel, err := p.RunDesignParallel(design, 4)
+	parallel, err := p.RunDesign(context.Background(), design, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,16 +48,16 @@ func TestRunDesignParallelMatchesSerial(t *testing.T) {
 
 func TestRunDesignParallelValidation(t *testing.T) {
 	p := quickProblem()
-	if _, err := p.RunDesignParallel(&doe.Design{}, 2); err == nil {
+	if _, err := p.RunDesign(context.Background(), &doe.Design{}, 2); err == nil {
 		t.Fatal("empty design must be rejected")
 	}
 	d4, _ := doe.TwoLevelFactorial(4)
-	if _, err := p.RunDesignParallel(d4, 2); err == nil {
+	if _, err := p.RunDesign(context.Background(), d4, 2); err == nil {
 		t.Fatal("factor mismatch must be rejected")
 	}
 	// Default worker count works.
 	small, _ := doe.TwoLevelFactorial(3)
-	if _, err := p.RunDesignParallel(small, 0); err != nil {
+	if _, err := p.RunDesign(context.Background(), small, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -66,7 +72,7 @@ func TestRunDesignParallelPropagatesErrors(t *testing.T) {
 		return p.Build(nat)
 	}
 	design, _ := doe.TwoLevelFactorial(3)
-	if _, err := fail.RunDesignParallel(design, 3); err == nil {
+	if _, err := fail.RunDesign(context.Background(), design, 3); err == nil {
 		t.Fatal("worker error must propagate")
 	}
 }
@@ -76,7 +82,7 @@ func TestRunDesignContextPreCancelled(t *testing.T) {
 	design, _ := doe.TwoLevelFactorial(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.RunDesignContext(ctx, design, 2); err == nil {
+	if _, err := p.RunDesign(ctx, design, 2); err == nil {
 		t.Fatal("cancelled context must abort the run")
 	}
 }
@@ -96,7 +102,7 @@ func TestRunDesignContextAbortsEarlyOnError(t *testing.T) {
 		return build(nat)
 	}
 	design, _ := doe.TwoLevelFactorial(3) // 8 runs
-	_, err := fail.RunDesignContext(context.Background(), design, 1)
+	_, err := fail.RunDesign(context.Background(), design, 1)
 	if err == nil {
 		t.Fatal("worker error must propagate")
 	}
@@ -120,7 +126,7 @@ func TestRunDesignContextCancelMidRun(t *testing.T) {
 		return build(nat)
 	}
 	design, _ := doe.TwoLevelFactorial(3)
-	_, err := blocked.RunDesignContext(ctx, design, 1)
+	_, err := blocked.RunDesign(ctx, design, 1)
 	if err == nil {
 		t.Fatal("mid-run cancellation must abort the design")
 	}
@@ -130,7 +136,7 @@ func TestRunDesignContextCancelMidRun(t *testing.T) {
 	if got := sims.Load(); got > 2 {
 		t.Fatalf("started %d simulations after cancellation, want ≤ 2", got)
 	}
-	if ds, err := p.RunDesignContext(context.Background(), design, 2); err != nil {
+	if ds, err := p.RunDesign(context.Background(), design, 2); err != nil {
 		t.Fatal(err)
 	} else if ds.SimWork <= 0 || ds.Speedup() <= 0 {
 		t.Fatalf("work accounting missing: work %v speedup %v", ds.SimWork, ds.Speedup())
@@ -195,7 +201,7 @@ func TestSubregionRefinementImprovesSpikyResponse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := p.RunDesignParallel(design, 0)
+		ds, err := p.RunDesign(context.Background(), design, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +224,7 @@ func TestSubregionRefinementImprovesSpikyResponse(t *testing.T) {
 			for j, f := range p.Factors {
 				coded[j] = f.Encode(natural[j])
 			}
-			resp, err := p.ResponsesAt(coded)
+			resp, err := p.ResponsesAt(context.Background(), coded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +246,7 @@ func TestOptimizeDesirability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := p.RunDesignParallel(design, 0)
+	ds, err := p.RunDesign(context.Background(), design, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +258,7 @@ func TestOptimizeDesirability(t *testing.T) {
 		{Response: RespPackets, Shape: opt.Larger{Lo: 0, Hi: 10}},
 		{Response: RespNetMargin, Shape: opt.Larger{Lo: -5, Hi: 1}, Weight: 2},
 	}
-	res, err := s.OptimizeDesirability(goals, 3, 1)
+	res, err := s.OptimizeDesirability(context.Background(), goals, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +275,11 @@ func TestOptimizeDesirability(t *testing.T) {
 		t.Fatal("evaluations not counted")
 	}
 	// Errors.
-	if _, err := s.OptimizeDesirability(nil, 1, 1); err == nil {
+	if _, err := s.OptimizeDesirability(context.Background(), nil, 1, 1); err == nil {
 		t.Fatal("no goals must be rejected")
 	}
 	bad := []DesirabilityGoal{{Response: ResponseID("nope"), Shape: opt.Larger{Lo: 0, Hi: 1}}}
-	if _, err := s.OptimizeDesirability(bad, 1, 1); err == nil {
+	if _, err := s.OptimizeDesirability(context.Background(), bad, 1, 1); err == nil {
 		t.Fatal("unknown response must be rejected")
 	}
 }
@@ -284,7 +290,7 @@ func TestProblemWithReferenceEngine(t *testing.T) {
 	p := quickProblem()
 	p.Horizon = 2
 	p.Engine = sim.RunReference
-	resp, err := p.ResponsesAt([]float64{0, 0, 0})
+	resp, err := p.ResponsesAt(context.Background(), []float64{0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

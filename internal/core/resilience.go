@@ -145,7 +145,7 @@ func (p *Problem) guardedResponses(ctx context.Context, i int, coded []float64) 
 			err = perr
 		}
 	}()
-	return p.ResponsesAtContext(ctx, coded)
+	return p.ResponsesAt(ctx, coded)
 }
 
 // runAttempt is guardedResponses under the problem's per-run deadline.
@@ -153,7 +153,7 @@ func (p *Problem) guardedResponses(ctx context.Context, i int, coded []float64) 
 // is abandoned (it finishes in the background and is discarded) and the
 // worker moves on instead of being pinned by a hung run.
 //
-// Deadline semantics — identical for the local pool (RunDesignContext)
+// Deadline semantics — identical for the local pool (RunDesign)
 // and the cluster pool (workers entering through RunPoint), which share
 // this code path: each attempt gets a fresh RunTimeout budget, and the
 // backoff sleeps between attempts (runWithRetry) run on the parent
@@ -289,7 +289,7 @@ type RunStats struct {
 
 // RunPoint executes the single design point at index i (coded units) under
 // the problem's retry policy and per-run deadline — the same semantics one
-// run of RunDesignContext gets, exposed for callers that shard a design
+// run of RunDesign gets, exposed for callers that shard a design
 // across processes (internal/cluster workers run leased points through
 // it). The index seeds the retry jitter stream and labels errors, so a
 // remote run of point i is bit-identical to the local one.

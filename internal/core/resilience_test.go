@@ -68,9 +68,9 @@ func TestRetryTransientSucceeds(t *testing.T) {
 		var ds *Dataset
 		var err error
 		if mode == "serial" {
-			ds, err = p.RunDesign(design)
+			ds, err = p.RunDesign(context.Background(), design, 1)
 		} else {
-			ds, err = p.RunDesignContext(context.Background(), design, 2)
+			ds, err = p.RunDesign(context.Background(), design, 2)
 		}
 		if err != nil {
 			t.Fatalf("%s: build must survive transient faults via retries: %v", mode, err)
@@ -87,7 +87,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	p.Retry.MaxAttempts = 2
 	design, _ := doe.TwoLevelFactorial(3)
 
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err == nil {
 		t.Fatal("exhausted retries must fail the run")
 	}
@@ -99,13 +99,37 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestBuildFailureKeepsStats: a failed fixed build still returns a result
+// whose dataset carries the retry stats of the aborted run, and no
+// surfaces.
+func TestBuildFailureKeepsStats(t *testing.T) {
+	r := &scriptedRunner{failFirst: 1 << 30, err: transientErr{}}
+	p := scriptedProblem(r)
+	p.Retry.MaxAttempts = 2
+	design, _ := doe.TwoLevelFactorial(3)
+
+	res, err := Build(context.Background(), BuildSpec{Problem: p, Design: design, Workers: 1})
+	if err == nil {
+		t.Fatal("exhausted retries must fail the build")
+	}
+	if res == nil || res.Dataset == nil || res.Dataset.Retries != 1 {
+		t.Fatalf("failed build must still carry retry stats: %+v", res)
+	}
+	if res.Surfaces != nil || res.Adaptive != nil {
+		t.Fatalf("failed fixed build must carry no surfaces or adaptive stats: %+v", res)
+	}
+	if _, err := Build(context.Background(), BuildSpec{Problem: p}); err == nil {
+		t.Fatal("a fixed build without a design must be rejected")
+	}
+}
+
 func TestPermanentErrorNotRetried(t *testing.T) {
 	r := &scriptedRunner{failFirst: 1 << 30, err: fmt.Errorf("permanent engine failure")}
 	p := scriptedProblem(r)
 	p.Retry.MaxAttempts = 5
 	design, _ := doe.TwoLevelFactorial(3)
 
-	if _, err := p.RunDesign(design); err == nil {
+	if _, err := p.RunDesign(context.Background(), design, 1); err == nil {
 		t.Fatal("permanent failure must fail the run")
 	}
 	if n := r.calls.Load(); n != 1 {
@@ -118,7 +142,7 @@ func TestPanicRecoveredIntoError(t *testing.T) {
 	p := scriptedProblem(r)
 	design, _ := doe.TwoLevelFactorial(3)
 
-	ds, err := p.RunDesignContext(context.Background(), design, 2)
+	ds, err := p.RunDesign(context.Background(), design, 2)
 	if err == nil {
 		t.Fatal("a permanently panicking engine must fail the build, not crash the test binary")
 	}
@@ -149,7 +173,7 @@ func TestPanicRetriedThenSucceeds(t *testing.T) {
 	p.Retry.MaxAttempts = 2
 	design, _ := doe.TwoLevelFactorial(3)
 
-	ds, err := p.RunDesign(design)
+	ds, err := p.RunDesign(context.Background(), design, 1)
 	if err != nil {
 		t.Fatalf("one panic within the retry budget must not fail the build: %v", err)
 	}
@@ -167,7 +191,7 @@ func TestRunTimeoutAbandonsHungRun(t *testing.T) {
 	design, _ := doe.TwoLevelFactorial(3)
 
 	start := time.Now()
-	_, err := p.RunDesignContext(context.Background(), design, 1)
+	_, err := p.RunDesign(context.Background(), design, 1)
 	if err == nil {
 		t.Fatal("hung run must time out")
 	}
@@ -192,7 +216,7 @@ func TestNaNResponseRejectedNotRetried(t *testing.T) {
 	p.Retry.MaxAttempts = 5
 	design, _ := doe.TwoLevelFactorial(3)
 
-	_, err := p.RunDesign(design)
+	_, err := p.RunDesign(context.Background(), design, 1)
 	if err == nil {
 		t.Fatal("NaN responses must be rejected before fitting")
 	}
@@ -216,7 +240,7 @@ func TestRetryCountsReachFaultStats(t *testing.T) {
 
 	fs := &obs.FaultStats{}
 	ctx := obs.WithFaultStats(context.Background(), fs)
-	if _, err := p.RunDesignContext(ctx, design, 2); err != nil {
+	if _, err := p.RunDesign(ctx, design, 2); err != nil {
 		t.Fatal(err)
 	}
 	if fs.Retries.Value() != 1 {
@@ -281,7 +305,7 @@ func TestDeadlineRaceNormalizedToTimeout(t *testing.T) {
 			if entry == "local-pool" {
 				r.failFirst = int64(1) // first call times out, retry succeeds
 				var ds *Dataset
-				ds, err = p.RunDesignContext(context.Background(), design, 1)
+				ds, err = p.RunDesign(context.Background(), design, 1)
 				if ds != nil {
 					retries = ds.Retries
 				}
@@ -318,7 +342,7 @@ func TestBackoffNotChargedToRunDeadline(t *testing.T) {
 
 		var err error
 		if entry == "local-pool" {
-			_, err = p.RunDesignContext(context.Background(), design, 1)
+			_, err = p.RunDesign(context.Background(), design, 1)
 		} else {
 			_, _, err = p.RunPoint(context.Background(), 0, design.Runs[0])
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/power"
 	"repro/internal/report"
-	"repro/internal/rsm"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tuner"
@@ -40,7 +40,7 @@ func TabT5Optimizers(cfg Config) (*report.Table, error) {
 	k := len(p.Factors)
 
 	confirm := func(x []float64) (float64, error) {
-		resp, err := p.ResponsesAt(x)
+		resp, err := p.ResponsesAt(context.Background(), x)
 		if err != nil {
 			return 0, err
 		}
@@ -57,16 +57,12 @@ func TabT5Optimizers(cfg Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err := p.RunDesign(design)
+	built, err := core.Build(context.Background(), core.BuildSpec{Problem: p, Design: design, Workers: 1})
 	if err != nil {
 		return nil, err
 	}
-	s, err := p.BuildSurfaces(ds, rsm.FullQuadratic(k))
-	if err != nil {
-		return nil, err
-	}
-	fitPackets := s.Fits[core.RespPackets]
-	fitMargin := s.Fits[core.RespNetMargin]
+	fitPackets := built.Surfaces.Fits[core.RespPackets]
+	fitMargin := built.Surfaces.Fits[core.RespNetMargin]
 	surfObj := opt.Maximize(func(x []float64) float64 {
 		return designObjective(fitPackets.Predict(x), fitMargin.Predict(x))
 	})
@@ -180,7 +176,7 @@ func TabT6Scenarios(cfg Config) (*report.Table, error) {
 
 		// Default configuration = centre of the coded cube.
 		centre := make([]float64, len(prob.Factors))
-		defResp, err := prob.ResponsesAt(centre)
+		defResp, err := prob.ResponsesAt(context.Background(), centre)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: T6 %s default: %w", spec.name, err)
 		}
@@ -192,16 +188,12 @@ func TabT6Scenarios(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds, err := prob.RunDesign(design)
+		built, err := core.Build(context.Background(), core.BuildSpec{Problem: prob, Design: design, Workers: 1})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: T6 %s design: %w", spec.name, err)
 		}
-		s, err := prob.BuildSurfaces(ds, rsm.FullQuadratic(len(prob.Factors)))
-		if err != nil {
-			return nil, err
-		}
-		fitPk := s.Fits[core.RespPackets]
-		fitMg := s.Fits[core.RespNetMargin]
+		fitPk := built.Surfaces.Fits[core.RespPackets]
+		fitMg := built.Surfaces.Fits[core.RespNetMargin]
 		obj := opt.Maximize(func(x []float64) float64 {
 			return designObjective(fitPk.Predict(x), fitMg.Predict(x))
 		})
@@ -216,7 +208,7 @@ func TabT6Scenarios(cfg Config) (*report.Table, error) {
 				best = r
 			}
 		}
-		optResp, err := prob.ResponsesAt(best.X)
+		optResp, err := prob.ResponsesAt(context.Background(), best.X)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -96,7 +97,7 @@ func TabT2DesignComparison(cfg Config) (*report.Table, error) {
 	val := validationPoints(k, cfg.pick(6, 12), cfg.Seed+3)
 	simVals := make([]float64, len(val))
 	for i, x := range val {
-		resp, err := p.ResponsesAt(x)
+		resp, err := p.ResponsesAt(context.Background(), x)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +107,7 @@ func TabT2DesignComparison(cfg Config) (*report.Table, error) {
 	t := report.NewTable("R-T2: experiment designs compared (response: stored energy)",
 		"design", "runs", "R2", "adjR2", "val_RMSE_J", "sim_time_ms")
 	for _, e := range entries {
-		ds, err := p.RunDesign(e.design)
+		ds, err := p.RunDesign(context.Background(), e.design, 1)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: T2 running %s: %w", e.name, err)
 		}
@@ -134,15 +135,11 @@ func buildStandardSurfaces(cfg Config) (*core.Problem, *core.Surfaces, *core.Dat
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ds, err := p.RunDesign(design)
+	res, err := core.Build(context.Background(), core.BuildSpec{Problem: p, Design: design, Workers: 1})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s, err := p.BuildSurfaces(ds, rsm.FullQuadratic(len(p.Factors)))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return p, s, ds, nil
+	return p, res.Surfaces, res.Dataset, nil
 }
 
 // TabT3RSMAccuracy reproduces R-T3: per-response surface accuracy at fresh
@@ -153,7 +150,7 @@ func TabT3RSMAccuracy(cfg Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := s.Validate(cfg.pick(6, 15), cfg.Seed+5)
+	rep, err := s.Validate(context.Background(), cfg.pick(6, 15), cfg.Seed+5)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +177,7 @@ func TabT4ExplorationSpeed(cfg Config) (*report.Table, error) {
 	simPts := validationPoints(k, nSim, cfg.Seed+7)
 	startSim := time.Now()
 	for _, x := range simPts {
-		if _, err := p.SimulateCoded(x); err != nil {
+		if _, err := p.SimulateCoded(context.Background(), x); err != nil {
 			return nil, err
 		}
 	}
@@ -243,7 +240,7 @@ func FigF2Surface(cfg Config) (*report.Figure, error) {
 		sy := make([]float64, 0, nSim)
 		for i := 0; i < nSim; i++ {
 			cx := -1 + 2*float64(i)/float64(nSim-1)
-			resp, err := p.ResponsesAt([]float64{cx, slice, 0, 0})
+			resp, err := p.ResponsesAt(context.Background(), []float64{cx, slice, 0, 0})
 			if err != nil {
 				return nil, err
 			}
@@ -373,7 +370,7 @@ func FigF5BuildCost(cfg Config) (*report.Figure, error) {
 	val := validationPoints(k, cfg.pick(5, 10), cfg.Seed+11)
 	simVals := make([]float64, len(val))
 	for i, x := range val {
-		resp, err := p.ResponsesAt(x)
+		resp, err := p.ResponsesAt(context.Background(), x)
 		if err != nil {
 			return nil, err
 		}
@@ -385,7 +382,7 @@ func FigF5BuildCost(cfg Config) (*report.Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds, err := p.RunDesign(d)
+		ds, err := p.RunDesign(context.Background(), d, 1)
 		if err != nil {
 			return nil, err
 		}

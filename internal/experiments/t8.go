@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
@@ -43,7 +44,7 @@ func TabT8Refinement(cfg Config) (*report.Table, error) {
 		for j, f := range full.Factors {
 			coded[j] = f.Encode(nat[j])
 		}
-		resp, err := full.ResponsesAt(coded)
+		resp, err := full.ResponsesAt(context.Background(), coded)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +65,7 @@ func TabT8Refinement(cfg Config) (*report.Table, error) {
 				return nil, err
 			}
 		}
-		ds, err := prob.RunDesignParallel(design, 0)
+		ds, err := prob.RunDesign(context.Background(), design, 0)
 		if err != nil {
 			return nil, err
 		}

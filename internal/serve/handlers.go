@@ -370,7 +370,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		x := points[i]
-		sim, err := p.ResponsesAtContext(r.Context(), x)
+		sim, err := p.ResponsesAt(r.Context(), x)
 		if err != nil {
 			var nerr *core.NumericError
 			if errors.As(err, &nerr) {

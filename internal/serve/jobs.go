@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/doe"
 	"repro/internal/obs"
-	"repro/internal/rsm"
 	"repro/internal/sim"
 )
 
@@ -110,9 +109,6 @@ type JobManagerConfig struct {
 	QueueCap int
 	// Log receives job-transition lines; nil discards them.
 	Log *slog.Logger
-	// Finished, when set, counts terminal job states (labelled done /
-	// failed / canceled).
-	Finished *obs.CounterVec
 	// JobTimeout bounds each build; it is both the default when a request
 	// sets no timeout_s and the cap when it does. <=0 means unbounded.
 	JobTimeout time.Duration
@@ -123,21 +119,14 @@ type JobManagerConfig struct {
 	// Cluster, when set, executes builds that request pool "cluster" by
 	// sharding the design points across the registered worker fleet.
 	Cluster *cluster.Coordinator
-	// BatchLanes and BatchAmortized, when set, accumulate the batch
-	// scheduler's lane and amortized-rebuild counts from finished builds.
-	BatchLanes     *obs.Counter
-	BatchAmortized *obs.Counter
-	// BuildRounds, PointsSimulated and PointsSkipped, when set, accumulate
-	// per-build point accounting from successful builds: rounds executed
-	// (a fixed build counts one), design points actually simulated, and the
-	// points an adaptive build avoided relative to the fixed reference.
-	BuildRounds     *obs.Counter
-	PointsSimulated *obs.Counter
-	PointsSkipped   *obs.Counter
+	// Metrics receives the job counters: terminal states, batch lanes and
+	// amortized rebuilds, and per-build point accounting. nil means a
+	// private registry.
+	Metrics *obs.Registry
 }
 
 // JobManager owns a bounded queue of build jobs and a single build worker:
-// DoE builds saturate the cores on their own via RunDesignContext, so
+// DoE builds saturate the cores on their own via core.Build, so
 // running them one at a time maximizes per-build throughput and keeps the
 // queue semantics obvious. Finished surfaces are registered (atomically
 // swapped) into the registry under the requested model name.
@@ -145,10 +134,11 @@ type JobManager struct {
 	registry   *Registry
 	problem    ProblemFactory
 	log        *slog.Logger
-	finished   *obs.CounterVec
 	jobTimeout time.Duration
 	faults     *obs.FaultStats
 	cluster    *cluster.Coordinator
+
+	finished   *obs.CounterVec
 	batchLanes *obs.Counter
 	batchAmort *obs.Counter
 	rounds     *obs.Counter
@@ -181,24 +171,33 @@ func NewJobManager(cfg JobManagerConfig) *JobManager {
 	if cfg.Log == nil {
 		cfg.Log = obs.Nop()
 	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &JobManager{
 		registry:   cfg.Registry,
 		problem:    cfg.Problem,
 		log:        cfg.Log,
-		finished:   cfg.Finished,
 		jobTimeout: cfg.JobTimeout,
 		faults:     cfg.Faults,
 		cluster:    cfg.Cluster,
-		batchLanes: cfg.BatchLanes,
-		batchAmort: cfg.BatchAmortized,
-		rounds:     cfg.BuildRounds,
-		ptsSim:     cfg.PointsSimulated,
-		ptsSkip:    cfg.PointsSkipped,
-		ctx:        ctx,
-		cancel:     cancel,
-		jobs:       make(map[string]*Job),
-		queue:      make(chan *Job, cfg.QueueCap),
+		finished:   reg.CounterVec("ehdoed_jobs_total", "Build jobs finished, by terminal state.", "state"),
+		batchLanes: reg.Counter("ehdoed_sim_batch_lanes_total",
+			"Design points simulated inside lockstep batch lanes."),
+		batchAmort: reg.Counter("ehdoed_sim_batch_rebuild_amortized_total",
+			"Batch-lane ZOH rebuilds answered by a bake shared with another lane."),
+		rounds: reg.Counter("ehdoed_build_rounds",
+			"Design rounds executed by finished builds (a fixed build counts one round)."),
+		ptsSim: reg.Counter("ehdoed_build_points_simulated_total",
+			"Design points simulated by finished builds."),
+		ptsSkip: reg.Counter("ehdoed_build_points_skipped_total",
+			"Design points adaptive builds avoided relative to the fixed-strategy reference design."),
+		ctx:    ctx,
+		cancel: cancel,
+		jobs:   make(map[string]*Job),
+		queue:  make(chan *Job, cfg.QueueCap),
 	}
 	m.wg.Add(1)
 	go m.worker()
@@ -445,9 +444,7 @@ func (m *JobManager) Shutdown(grace time.Duration) {
 }
 
 func (m *JobManager) countFinished(state JobState) {
-	if m.finished != nil {
-		m.finished.With(string(state)).Inc()
-	}
+	m.finished.With(string(state)).Inc()
 }
 
 func (m *JobManager) worker() {
@@ -461,6 +458,10 @@ func (m *JobManager) worker() {
 	}
 }
 
+// run executes one build through core.Build: the named design of a fixed
+// build or the sequential loop of an adaptive one, with every round
+// simulated by the local pool or, for pool "cluster", sharded across the
+// worker fleet.
 func (m *JobManager) run(j *Job) {
 	lg := m.jobLog(j)
 	// The build inherits the submitting request's trace: simulation-run
@@ -487,108 +488,23 @@ func (m *JobManager) run(j *Job) {
 		p.Engine = sim.RunReference
 		p.EngineName = core.EngineReference
 	}
+	spec := core.BuildSpec{Problem: p, Workers: j.Req.Workers}
 	if j.Req.Strategy == StrategyAdaptive {
-		m.runAdaptive(ctx, j, p)
-		return
-	}
-	k := len(p.Factors)
-	design, err := core.NamedDesign(j.Req.Design, k, j.Req.Runs, j.Req.Seed)
-	if err != nil {
-		m.finish(j, JobFailed, "", err)
-		return
-	}
-
-	m.mu.Lock()
-	j.State = JobRunning
-	j.Started = time.Now()
-	j.Runs = design.N()
-	wait := j.Started.Sub(j.Enqueued)
-	m.mu.Unlock()
-	lg.Info("job started", "model", j.Req.Model, "design", j.Req.Design,
-		"runs", design.N(), "queue_wait_ms", float64(wait.Microseconds())/1e3)
-
-	var ds *core.Dataset
-	if j.Req.Pool == PoolCluster {
-		// Shard the design points across the worker fleet. The trace ID
-		// rides on every lease, so worker-side run logs correlate with the
-		// submitting request.
-		ds, err = m.cluster.RunDesign(ctx, cluster.JobSpec{
-			ID:        j.ID,
-			Trace:     j.Trace,
-			Excite:    j.Req.Amp,
-			Horizon:   j.Req.Horizon,
-			Responses: p.Responses,
-		}, design)
+		spec.Adaptive = &core.AdaptiveConfig{Seed: j.Req.Seed}
 	} else {
-		ds, err = p.RunDesignContext(ctx, design, j.Req.Workers)
-	}
-	if ds != nil {
-		// Even a failed build carries its fault-recovery and batch stats.
-		m.mu.Lock()
-		j.Retries = ds.Retries
-		j.Panics = ds.PanicsRecovered
-		j.SimTime = ds.SimTime
-		j.Batch = ds.Batch
-		m.mu.Unlock()
-		if ds.Batch != nil {
-			if m.batchLanes != nil {
-				m.batchLanes.Add(uint64(ds.Batch.Lanes))
-			}
-			if m.batchAmort != nil {
-				m.batchAmort.Add(uint64(ds.Batch.AmortizedRebuilds))
-			}
+		design, err := core.NamedDesign(j.Req.Design, len(p.Factors), j.Req.Runs, j.Req.Seed)
+		if err != nil {
+			m.finish(j, JobFailed, "", err)
+			return
 		}
+		spec.Design = design
 	}
-	if err != nil {
-		state, code, werr := m.classify(ctx, j, err)
-		m.finish(j, state, code, werr)
-		return
-	}
-	s, err := p.BuildSurfaces(ds, rsm.FullQuadratic(k))
-	if err != nil {
-		m.finish(j, JobFailed, "", err)
-		return
-	}
-	saved := s.SaveWithData(ds)
-	m.registry.Set(j.Req.Model, saved)
-
-	m.mu.Lock()
-	j.State = JobDone
-	j.Finished = time.Now()
-	j.SimTime = ds.SimTime
-	j.Speedup = ds.Speedup()
-	j.R2 = make(map[string]float64, len(saved.R2))
-	for id, r2 := range saved.R2 {
-		j.R2[string(id)] = r2
-	}
-	dur := j.Finished.Sub(j.Started)
-	m.mu.Unlock()
-	m.countFinished(JobDone)
-	m.countBuildPoints(1, design.N(), 0)
-	lg.Info("job done", "model", j.Req.Model, "runs", design.N(),
-		"dur_ms", float64(dur.Microseconds())/1e3,
-		"sim_ms", float64(ds.SimTime.Microseconds())/1e3,
-		"speedup", ds.Speedup())
-}
-
-// runAdaptive executes one adaptive-strategy build: the sequential
-// D-optimal loop in internal/core, with every round's simulations routed
-// through the same pool a fixed build uses — the local worker pool, or the
-// cluster fleet with round-suffixed job IDs so worker-side logs stay
-// attributable to this job.
-func (m *JobManager) runAdaptive(ctx context.Context, j *Job, p *core.Problem) {
-	lg := m.jobLog(j)
-	m.mu.Lock()
-	j.State = JobRunning
-	j.Started = time.Now()
-	wait := j.Started.Sub(j.Enqueued)
-	m.mu.Unlock()
-	lg.Info("job started", "model", j.Req.Model, "strategy", StrategyAdaptive,
-		"queue_wait_ms", float64(wait.Microseconds())/1e3)
-
-	cfg := core.AdaptiveConfig{Seed: j.Req.Seed, Workers: j.Req.Workers}
 	if j.Req.Pool == PoolCluster {
-		cfg.RunDesign = func(ctx context.Context, d *doe.Design) (*core.Dataset, error) {
+		// Shard each round's points across the worker fleet. The trace ID
+		// rides on every lease, so worker-side run logs correlate with the
+		// submitting request, and the round-suffixed job ID keeps them
+		// attributable to this job.
+		spec.Run = func(ctx context.Context, d *doe.Design) (*core.Dataset, error) {
 			return m.cluster.RunDesign(ctx, cluster.JobSpec{
 				ID:        j.ID + "-" + d.Name,
 				Trace:     j.Trace,
@@ -598,28 +514,39 @@ func (m *JobManager) runAdaptive(ctx context.Context, j *Job, p *core.Problem) {
 			}, d)
 		}
 	}
-	res, err := p.RunAdaptive(ctx, cfg)
-	if res != nil {
+
+	runs := 0 // an adaptive build learns its size as it goes
+	if spec.Design != nil {
+		runs = spec.Design.N()
+	}
+	m.mu.Lock()
+	j.State = JobRunning
+	j.Started = time.Now()
+	j.Runs = runs
+	wait := j.Started.Sub(j.Enqueued)
+	m.mu.Unlock()
+	lg.Info("job started", "model", j.Req.Model, "strategy", j.Req.Strategy,
+		"design", j.Req.Design, "runs", runs,
+		"queue_wait_ms", float64(wait.Microseconds())/1e3)
+
+	res, err := core.Build(ctx, spec)
+	if res != nil && res.Dataset != nil {
 		// Even a failed build carries its fault-recovery, batch and
 		// per-round stats.
 		ds := res.Dataset
 		m.mu.Lock()
-		j.Adaptive = res.Stats
-		j.Runs = res.Stats.PointsSimulated
-		if ds != nil {
-			j.Retries = ds.Retries
-			j.Panics = ds.PanicsRecovered
-			j.SimTime = ds.SimTime
-			j.Batch = ds.Batch
+		j.Retries = ds.Retries
+		j.Panics = ds.PanicsRecovered
+		j.SimTime = ds.SimTime
+		j.Batch = ds.Batch
+		if res.Adaptive != nil {
+			j.Adaptive = res.Adaptive
+			j.Runs = res.Adaptive.PointsSimulated
 		}
 		m.mu.Unlock()
-		if ds != nil && ds.Batch != nil {
-			if m.batchLanes != nil {
-				m.batchLanes.Add(uint64(ds.Batch.Lanes))
-			}
-			if m.batchAmort != nil {
-				m.batchAmort.Add(uint64(ds.Batch.AmortizedRebuilds))
-			}
+		if ds.Batch != nil {
+			m.batchLanes.Add(uint64(ds.Batch.Lanes))
+			m.batchAmort.Add(uint64(ds.Batch.AmortizedRebuilds))
 		}
 	}
 	if err != nil {
@@ -627,13 +554,14 @@ func (m *JobManager) runAdaptive(ctx context.Context, j *Job, p *core.Problem) {
 		m.finish(j, state, code, werr)
 		return
 	}
-	saved := res.Surfaces.SaveWithData(res.Dataset)
+	ds := res.Dataset
+	saved := res.Surfaces.SaveWithData(ds)
 	m.registry.Set(j.Req.Model, saved)
 
 	m.mu.Lock()
 	j.State = JobDone
 	j.Finished = time.Now()
-	j.Speedup = res.Dataset.Speedup()
+	j.Speedup = ds.Speedup()
 	j.R2 = make(map[string]float64, len(saved.R2))
 	for id, r2 := range saved.R2 {
 		j.R2[string(id)] = r2
@@ -641,25 +569,18 @@ func (m *JobManager) runAdaptive(ctx context.Context, j *Job, p *core.Problem) {
 	dur := j.Finished.Sub(j.Started)
 	m.mu.Unlock()
 	m.countFinished(JobDone)
-	m.countBuildPoints(len(res.Stats.Rounds), res.Stats.PointsSimulated, res.Stats.PointsSkipped)
-	lg.Info("job done", "model", j.Req.Model, "strategy", StrategyAdaptive,
-		"points", res.Stats.PointsSimulated, "fixed_points", res.Stats.FixedPoints,
-		"rounds", len(res.Stats.Rounds), "stop", res.Stats.StopReason,
+	rounds, skipped := 1, 0
+	if a := res.Adaptive; a != nil {
+		rounds, skipped = len(a.Rounds), a.PointsSkipped
+	}
+	m.rounds.Add(uint64(rounds))
+	m.ptsSim.Add(uint64(ds.Design.N()))
+	m.ptsSkip.Add(uint64(skipped))
+	lg.Info("job done", "model", j.Req.Model, "strategy", j.Req.Strategy,
+		"runs", ds.Design.N(), "rounds", rounds,
 		"dur_ms", float64(dur.Microseconds())/1e3,
-		"sim_ms", float64(res.Dataset.SimTime.Microseconds())/1e3)
-}
-
-// countBuildPoints feeds the fleet-wide build point-accounting counters.
-func (m *JobManager) countBuildPoints(rounds, simulated, skipped int) {
-	if m.rounds != nil {
-		m.rounds.Add(uint64(rounds))
-	}
-	if m.ptsSim != nil {
-		m.ptsSim.Add(uint64(simulated))
-	}
-	if m.ptsSkip != nil {
-		m.ptsSkip.Add(uint64(skipped))
-	}
+		"sim_ms", float64(ds.SimTime.Microseconds())/1e3,
+		"speedup", ds.Speedup())
 }
 
 // classify maps a failed build's error to its terminal state and

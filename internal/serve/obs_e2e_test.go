@@ -114,7 +114,7 @@ func TestTraceThreadsBuildEndToEnd(t *testing.T) {
 		"job enqueued",       // job transitions (JobManager)
 		"job started",        //
 		"job done",           //
-		"design run started", // core.RunDesignContext
+		"design run started", // core.Problem.RunDesign
 		"sim run",            // per-simulation debug line
 		"simcache miss",      // cache decision under the same trace
 	} {

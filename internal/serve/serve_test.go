@@ -34,7 +34,7 @@ func fixture(t testing.TB) *core.SavedSurfaces {
 			fixtureErr = err
 			return
 		}
-		ds, err := p.RunDesignParallel(design, 0)
+		ds, err := p.RunDesign(context.Background(), design, 0)
 		if err != nil {
 			fixtureErr = err
 			return

@@ -150,16 +150,6 @@ func New(cfg Config) (*Server, error) {
 	s.reg.CounterFunc("ehdoed_run_panics_recovered_total",
 		"Simulation panics recovered into errors instead of crashing the process.",
 		func() float64 { return float64(s.faults.Panics.Value()) })
-	batchLanes := s.reg.Counter("ehdoed_sim_batch_lanes_total",
-		"Design points simulated inside lockstep batch lanes.")
-	batchAmort := s.reg.Counter("ehdoed_sim_batch_rebuild_amortized_total",
-		"Batch-lane ZOH rebuilds answered by a bake shared with another lane.")
-	buildRounds := s.reg.Counter("ehdoed_build_rounds",
-		"Design rounds executed by finished builds (a fixed build counts one round).")
-	buildPtsSim := s.reg.Counter("ehdoed_build_points_simulated_total",
-		"Design points simulated by finished builds.")
-	buildPtsSkip := s.reg.Counter("ehdoed_build_points_skipped_total",
-		"Design points adaptive builds avoided relative to the fixed-strategy reference design.")
 	cache.RegisterMetrics(s.reg, "ehdoed_simcache")
 	if cfg.ModelsDir != "" {
 		if _, err := s.registry.LoadDir(cfg.ModelsDir); err != nil {
@@ -177,17 +167,10 @@ func New(cfg Config) (*Server, error) {
 		Problem:    s.problem,
 		QueueCap:   cfg.QueueCap,
 		Log:        logger,
-		Finished:   s.reg.CounterVec("ehdoed_jobs_total", "Build jobs finished, by terminal state.", "state"),
 		JobTimeout: cfg.JobTimeout,
 		Faults:     s.faults,
 		Cluster:    s.coord,
-
-		BatchLanes:     batchLanes,
-		BatchAmortized: batchAmort,
-
-		BuildRounds:     buildRounds,
-		PointsSimulated: buildPtsSim,
-		PointsSkipped:   buildPtsSkip,
+		Metrics:    s.reg,
 	})
 	s.reg.GaugeFunc("ehdoed_queue_depth",
 		"Build jobs waiting in the bounded queue behind the running one.",

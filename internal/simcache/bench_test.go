@@ -2,6 +2,7 @@ package simcache_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func buildSurfaces(b *testing.B, p *core.Problem) *core.Surfaces {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ds, err := p.RunDesignParallel(design, 0)
+	ds, err := p.RunDesign(context.Background(), design, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func BenchmarkSimCacheRepeatedValidate(b *testing.B) {
 	p.Runner = simcache.Direct{}
 	s := buildSurfaces(b, p)
 
-	ref, err := s.Validate(n, seed)
+	ref, err := s.Validate(context.Background(), n, seed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func BenchmarkSimCacheRepeatedValidate(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		p.Runner = simcache.Direct{}
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Validate(n, seed); err != nil {
+			if _, err := s.Validate(context.Background(), n, seed); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -59,7 +60,7 @@ func BenchmarkSimCacheRepeatedValidate(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		cache := simcache.New(simcache.Options{})
 		p.Runner = cache
-		rep, err := s.Validate(n, seed) // warm the cache, check the answer
+		rep, err := s.Validate(context.Background(), n, seed) // warm the cache, check the answer
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func BenchmarkSimCacheRepeatedValidate(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Validate(n, seed); err != nil {
+			if _, err := s.Validate(context.Background(), n, seed); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -82,17 +83,17 @@ func BenchmarkSimCacheRepeatedValidate(b *testing.B) {
 	// cached pass on the same machine, same moment.
 	p.Runner = simcache.Direct{}
 	t0 := time.Now()
-	if _, err := s.Validate(n, seed); err != nil {
+	if _, err := s.Validate(context.Background(), n, seed); err != nil {
 		b.Fatal(err)
 	}
 	direct := time.Since(t0)
 	cache := simcache.New(simcache.Options{})
 	p.Runner = cache
-	if _, err := s.Validate(n, seed); err != nil { // warm
+	if _, err := s.Validate(context.Background(), n, seed); err != nil { // warm
 		b.Fatal(err)
 	}
 	t1 := time.Now()
-	rep, err := s.Validate(n, seed)
+	rep, err := s.Validate(context.Background(), n, seed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func BenchmarkSimCacheOptimizerBaseline(b *testing.B) {
 	bounds := opt.NewBounds(len(p.Factors))
 	var objErr error
 	objective := func(x []float64) float64 {
-		resp, err := p.ResponsesAt(x)
+		resp, err := p.ResponsesAt(context.Background(), x)
 		if err != nil {
 			objErr = err
 			return 0
