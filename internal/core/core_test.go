@@ -8,6 +8,7 @@ import (
 	"repro/internal/doe"
 	"repro/internal/rsm"
 	"repro/internal/sim"
+	"repro/internal/simcache"
 	"repro/internal/vibration"
 )
 
@@ -166,6 +167,10 @@ func TestBuildSurfacesValidation(t *testing.T) {
 
 func TestValidationReportAccuracy(t *testing.T) {
 	p := quickProblem()
+	// A private cache keeps the timed validation simulations real: a
+	// repeated run (-count=2) would otherwise answer them from the shared
+	// DefaultRunner.
+	p.Runner = simcache.New(simcache.Options{})
 	design, err := doe.CentralComposite(3, doe.CCF, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -401,13 +401,8 @@ func LatinHypercube(k, n int, seed int64, iters int) (*Design, error) {
 // DOptimal selects size runs from the candidate design maximizing the
 // determinant of the information matrix XᵀX, where modelRow expands a coded
 // run into its model-matrix row (e.g. a full-quadratic basis). Selection is
-// by Fedorov exchange from a random start: each exchange's determinant
-// ratio is computed from the variance function
-//
-//	Δ(x_in, x_out) = (1 + d(x_in))·(1 − d(x_out)) + d(x_in, x_out)²
-//
-// with d(x, y) = xᵀ(XᵀX)⁻¹y, and (XᵀX)⁻¹ maintained by Sherman–Morrison
-// rank-one updates — the classical O(p²)-per-candidate algorithm.
+// by Fedorov exchange from a random start (see exchange), with (XᵀX)⁻¹
+// maintained by Sherman–Morrison rank-one updates.
 func DOptimal(candidates *Design, size int, modelRow func([]float64) []float64, seed int64, maxPasses int) (*Design, error) {
 	nc := candidates.N()
 	if nc == 0 {
@@ -424,14 +419,16 @@ func DOptimal(candidates *Design, size int, modelRow func([]float64) []float64, 
 		maxPasses = 20
 	}
 	rows := make([][]float64, nc)
+	slot := make([]int, nc) // every candidate is its own slot
 	for i, r := range candidates.Runs {
 		rows[i] = modelRow(r)
+		slot[i] = i
 	}
 	rng := rand.New(rand.NewSource(seed))
 	sel := rng.Perm(nc)[:size]
-	inSel := make([]bool, nc)
+	taken := make([]int, nc)
 	for _, id := range sel {
-		inSel[id] = true
+		taken[id] = 1
 	}
 
 	// Information matrix with a small ridge so a degenerate random start
@@ -440,21 +437,49 @@ func DOptimal(candidates *Design, size int, modelRow func([]float64) []float64, 
 	if minv == nil {
 		return nil, fmt.Errorf("doe: could not invert the starting information matrix")
 	}
+	exchange(minv, rows, sel, slot, taken, maxPasses)
+	sort.Ints(sel)
+	runs := make([][]float64, size)
+	for i, id := range sel {
+		runs[i] = append([]float64(nil), candidates.Runs[id]...)
+	}
+	return &Design{Name: fmt.Sprintf("D-opt(n=%d)", size), Runs: runs}, nil
+}
 
+// exchange runs up to maxPasses Fedorov exchange passes over sel, a block
+// of candidate indices whose rows are already in minv = (XᵀX)⁻¹. Each
+// position is swapped for the outside candidate with the largest
+// determinant ratio
+//
+//	Δ(x_in, x_out) = (1 + d(x_in))·(1 − d(x_out)) + d(x_in, x_out)²
+//
+// with d(x, y) = xᵀ(XᵀX)⁻¹y, when that ratio exceeds 1. Candidate c may
+// enter only while taken[slot[c]] is zero; a swap moves one count from the
+// outgoing slot to the incoming one.
+//
+// Each candidate costs O(p) per position: minv changes only when a swap
+// commits, so d(x) of every candidate is kept in a slice and recomputed
+// then, and each position computes mo = (XᵀX)⁻¹·x_out once, which turns
+// d(x_in, x_out) into a dot product. Both do quadForm's float operations in
+// quadForm's order, so the selection is exactly the one that evaluating
+// both quadratic forms per candidate makes.
+func exchange(minv, rows [][]float64, sel, slot, taken []int, maxPasses int) {
+	d := make([]float64, len(rows))
+	variances(d, minv, rows)
+	mo := make([]float64, len(minv))
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
-		for si := 0; si < size; si++ {
-			out := rows[sel[si]]
-			dOut := quadForm(minv, out, out)
+		for si, outID := range sel {
+			out := rows[outID]
+			dOut := d[outID]
+			mulVec(mo, minv, out)
 			bestDelta, bestCand := 1.0+1e-12, -1
-			for c := 0; c < nc; c++ {
-				if inSel[c] {
+			for c, in := range rows {
+				if taken[slot[c]] > 0 {
 					continue
 				}
-				in := rows[c]
-				dIn := quadForm(minv, in, in)
-				dCross := quadForm(minv, in, out)
-				delta := (1+dIn)*(1-dOut) + dCross*dCross
+				dCross := dotNonzero(in, mo)
+				delta := (1+d[c])*(1-dOut) + dCross*dCross
 				if delta > bestDelta {
 					bestDelta, bestCand = delta, c
 				}
@@ -465,8 +490,9 @@ func DOptimal(candidates *Design, size int, modelRow func([]float64) []float64, 
 			// Commit: add new row, remove old row (two rank-one updates).
 			shermanMorrison(minv, rows[bestCand], +1)
 			shermanMorrison(minv, out, -1)
-			inSel[sel[si]] = false
-			inSel[bestCand] = true
+			variances(d, minv, rows)
+			taken[slot[outID]]--
+			taken[slot[bestCand]]++
 			sel[si] = bestCand
 			improved = true
 		}
@@ -474,12 +500,37 @@ func DOptimal(candidates *Design, size int, modelRow func([]float64) []float64, 
 			break
 		}
 	}
-	sort.Ints(sel)
-	runs := make([][]float64, size)
-	for i, id := range sel {
-		runs[i] = append([]float64(nil), candidates.Runs[id]...)
+}
+
+// variances sets d[c] = d(x_c) = x_cᵀ·M·x_c for every row.
+func variances(d []float64, m, rows [][]float64) {
+	for c, r := range rows {
+		d[c] = quadForm(m, r, r)
 	}
-	return &Design{Name: fmt.Sprintf("D-opt(n=%d)", size), Runs: runs}, nil
+}
+
+// mulVec sets y = M·x, each entry summed as quadForm sums its inner loop.
+func mulVec(y []float64, m [][]float64, x []float64) {
+	for i, row := range m {
+		var t float64
+		for j := range x {
+			t += row[j] * x[j]
+		}
+		y[i] = t
+	}
+}
+
+// dotNonzero returns xᵀy summed over the nonzero entries of x in index
+// order: quadForm's outer loop, with y = M·y′ precomputed by mulVec.
+func dotNonzero(x, y []float64) float64 {
+	var s float64
+	for i, v := range x {
+		if v == 0 {
+			continue
+		}
+		s += v * y[i]
+	}
+	return s
 }
 
 // newRidgeInverse returns (XᵀX + ridge·I)⁻¹ for the selected rows as a

@@ -1,0 +1,251 @@
+package doe
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/rsm"
+)
+
+// refDOptimal is DOptimal as it was written before the O(p) exchange: both
+// quadratic forms of the determinant ratio are evaluated for every
+// candidate at every position. Validation is left to DOptimal.
+func refDOptimal(candidates *Design, size int, modelRow func([]float64) []float64, seed int64, maxPasses int) *Design {
+	nc := candidates.N()
+	p := len(modelRow(candidates.Runs[0]))
+	if maxPasses <= 0 {
+		maxPasses = 20
+	}
+	rows := make([][]float64, nc)
+	for i, r := range candidates.Runs {
+		rows[i] = modelRow(r)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	sel := rng.Perm(nc)[:size]
+	inSel := make([]bool, nc)
+	for _, id := range sel {
+		inSel[id] = true
+	}
+	minv := newRidgeInverse(rows, sel, p, 1e-8)
+	for pass := 0; pass < maxPasses; pass++ {
+		improved := false
+		for si := 0; si < size; si++ {
+			out := rows[sel[si]]
+			dOut := quadForm(minv, out, out)
+			bestDelta, bestCand := 1.0+1e-12, -1
+			for c := 0; c < nc; c++ {
+				if inSel[c] {
+					continue
+				}
+				in := rows[c]
+				dIn := quadForm(minv, in, in)
+				dCross := quadForm(minv, in, out)
+				delta := (1+dIn)*(1-dOut) + dCross*dCross
+				if delta > bestDelta {
+					bestDelta, bestCand = delta, c
+				}
+			}
+			if bestCand < 0 {
+				continue
+			}
+			shermanMorrison(minv, rows[bestCand], +1)
+			shermanMorrison(minv, out, -1)
+			inSel[sel[si]] = false
+			inSel[bestCand] = true
+			sel[si] = bestCand
+			improved = true
+		}
+		if !improved {
+			break
+		}
+	}
+	sort.Ints(sel)
+	runs := make([][]float64, size)
+	for i, id := range sel {
+		runs[i] = append([]float64(nil), candidates.Runs[id]...)
+	}
+	return &Design{Name: fmt.Sprintf("D-opt(n=%d)", size), Runs: runs}
+}
+
+// refAugmentDOptimal is AugmentDOptimal as it was written before the O(p)
+// exchange, with its run-key multiplicity map.
+func refAugmentDOptimal(base, candidates *Design, add int, modelRow func([]float64) []float64, maxPasses int) *Design {
+	nc := candidates.N()
+	if maxPasses <= 0 {
+		maxPasses = 20
+	}
+	p := len(modelRow(candidates.Runs[0]))
+	baseRows := make([][]float64, base.N())
+	baseSel := make([]int, base.N())
+	for i, r := range base.Runs {
+		baseRows[i] = modelRow(r)
+		baseSel[i] = i
+	}
+	candRows := make([][]float64, nc)
+	for i, r := range candidates.Runs {
+		candRows[i] = modelRow(r)
+	}
+	minv := newRidgeInverse(baseRows, baseSel, p, 1e-8)
+	used := make(map[string]int, base.N()+add)
+	for _, r := range base.Runs {
+		used[runKey(r)]++
+	}
+	keys := make([]string, nc)
+	for i, r := range candidates.Runs {
+		keys[i] = runKey(r)
+	}
+	sel := make([]int, 0, add)
+	for t := 0; t < add; t++ {
+		best, bestD := -1, math.Inf(-1)
+		bestDup, bestDupD := -1, math.Inf(-1)
+		for c := 0; c < nc; c++ {
+			d := quadForm(minv, candRows[c], candRows[c])
+			if used[keys[c]] == 0 {
+				if d > bestD {
+					best, bestD = c, d
+				}
+			} else if d > bestDupD {
+				bestDup, bestDupD = c, d
+			}
+		}
+		if best < 0 {
+			best = bestDup
+		}
+		shermanMorrison(minv, candRows[best], +1)
+		used[keys[best]]++
+		sel = append(sel, best)
+	}
+	for pass := 0; pass < maxPasses; pass++ {
+		improved := false
+		for si := range sel {
+			out := candRows[sel[si]]
+			dOut := quadForm(minv, out, out)
+			bestDelta, bestCand := 1.0+1e-12, -1
+			for c := 0; c < nc; c++ {
+				if used[keys[c]] > 0 {
+					continue
+				}
+				in := candRows[c]
+				dIn := quadForm(minv, in, in)
+				dCross := quadForm(minv, in, out)
+				delta := (1+dIn)*(1-dOut) + dCross*dCross
+				if delta > bestDelta {
+					bestDelta, bestCand = delta, c
+				}
+			}
+			if bestCand < 0 {
+				continue
+			}
+			shermanMorrison(minv, candRows[bestCand], +1)
+			shermanMorrison(minv, out, -1)
+			used[keys[sel[si]]]--
+			used[keys[bestCand]]++
+			sel[si] = bestCand
+			improved = true
+		}
+		if !improved {
+			break
+		}
+	}
+	added := &Design{Name: fmt.Sprintf("D-aug(+%d)", add), Runs: make([][]float64, len(sel))}
+	for i, id := range sel {
+		added.Runs[i] = append([]float64(nil), candidates.Runs[id]...)
+	}
+	if base.N() == 0 {
+		return added
+	}
+	out, err := base.Append(added)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// runBits renders a design's runs as float64 bit patterns, so equality
+// means byte-equal designs (including the sign of zero).
+func runBits(d *Design) [][]uint64 {
+	out := make([][]uint64, len(d.Runs))
+	for i, r := range d.Runs {
+		out[i] = make([]uint64, len(r))
+		for j, v := range r {
+			out[i][j] = math.Float64bits(v)
+		}
+	}
+	return out
+}
+
+// TestExchangeMatchesQuadFormReference pins the O(p) exchange to the
+// selections of the quadratic-form-per-candidate loops it replaced. Each
+// seed runs DOptimal at p+2 runs (an adaptive build's start) and at the
+// minimal p runs, whose ill-conditioned exchanges expose any drift in
+// d(x); then three chained k-run augmentations in an adaptive build's
+// shape (the p+2 start plus two centre replicates) and three from an empty
+// base, whose ridge-only start makes many candidates tie exactly.
+func TestExchangeMatchesQuadFormReference(t *testing.T) {
+	for k := 2; k <= 5; k++ {
+		for _, levels := range []int{3, 5} {
+			cands, err := CandidateLattice(k, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := rsm.FullQuadratic(k).Row
+			p := len(rsm.FullQuadratic(k).Terms)
+			for seed := int64(0); seed <= 5; seed++ {
+				t.Run(fmt.Sprintf("k=%d/levels=%d/seed=%d", k, levels, seed), func(t *testing.T) {
+					t.Parallel()
+					for _, passes := range []int{4, 0} {
+						if p <= cands.N() {
+							checkDOptimal(t, cands, p, row, seed, passes)
+						}
+						start := checkDOptimal(t, cands, p+2, row, seed, passes)
+						centre := &Design{Name: "centre", Runs: [][]float64{make([]float64, k), make([]float64, k)}}
+						base, err := start.Append(centre)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkAugment(t, base, cands, k, row, passes)
+						checkAugment(t, &Design{}, cands, k, row, passes)
+					}
+				})
+			}
+		}
+	}
+}
+
+// checkDOptimal compares one DOptimal selection with the reference loop
+// and returns it.
+func checkDOptimal(t *testing.T, cands *Design, size int, row func([]float64) []float64, seed int64, passes int) *Design {
+	t.Helper()
+	got, err := DOptimal(cands, size, row, seed, passes)
+	if err != nil {
+		t.Fatalf("size %d passes %d: %v", size, passes, err)
+	}
+	want := refDOptimal(cands, size, row, seed, passes)
+	if !reflect.DeepEqual(runBits(got), runBits(want)) || got.Name != want.Name {
+		t.Fatalf("size %d passes %d: DOptimal selected\n%v\nreference selected\n%v",
+			size, passes, got.Runs, want.Runs)
+	}
+	return got
+}
+
+// checkAugment compares three chained augmentations of base with the
+// reference loop.
+func checkAugment(t *testing.T, base, cands *Design, add int, row func([]float64) []float64, passes int) {
+	t.Helper()
+	got, want := base, base
+	for round := 1; round <= 3; round++ {
+		var err error
+		if got, err = AugmentDOptimal(got, cands, add, row, passes); err != nil {
+			t.Fatalf("base %d runs, passes %d, round %d: %v", base.N(), passes, round, err)
+		}
+		want = refAugmentDOptimal(want, cands, add, row, passes)
+		if !reflect.DeepEqual(runBits(got), runBits(want)) || got.Name != want.Name {
+			t.Fatalf("base %d runs, passes %d, round %d: AugmentDOptimal selected\n%v\nreference selected\n%v",
+				base.N(), passes, round, got.Runs, want.Runs)
+		}
+	}
+}

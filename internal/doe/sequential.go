@@ -38,12 +38,9 @@ func runKey(r []float64) string {
 // keeping every base run fixed. Each greedy addition picks the candidate with
 // the largest prediction variance d(x) = xᵀ(XᵀX)⁻¹x — the point the current
 // design knows least about, and exactly the choice that maximizes the
-// determinant ratio 1+d(x) — scored in O(p²) per candidate via a
-// Sherman–Morrison-maintained inverse. A Fedorov-style exchange pass then
-// tries to improve the *added* block only (base runs are already simulated
-// and never swapped out), using the same determinant-ratio test as DOptimal:
-//
-//	Δ(x_in, x_out) = (1 + d(x_in))·(1 − d(x_out)) + d(x_in, x_out)²
+// determinant ratio 1+d(x) — scored against a Sherman–Morrison-maintained
+// inverse. A Fedorov exchange (see exchange) then tries to improve the
+// *added* block only: base runs are already simulated and never swapped out.
 //
 // Candidates that exactly duplicate a base or already-added run are skipped
 // while distinct candidates remain (replicating a deterministic simulation
@@ -83,71 +80,51 @@ func AugmentDOptimal(base, candidates *Design, add int, modelRow func([]float64)
 		return nil, fmt.Errorf("doe: could not invert the base information matrix")
 	}
 
-	used := make(map[string]int, base.N()+add) // run key → multiplicity
-	for _, r := range base.Runs {
-		used[runKey(r)]++
-	}
-	keys := make([]string, nc)
+	// Candidates sharing a run key share a slot; taken counts the design
+	// runs (base and added) sitting on each slot.
+	slot := make([]int, nc)
+	slots := make(map[string]int, nc)
 	for i, r := range candidates.Runs {
-		keys[i] = runKey(r)
+		key := runKey(r)
+		id, ok := slots[key]
+		if !ok {
+			id = len(slots)
+			slots[key] = id
+		}
+		slot[i] = id
+	}
+	taken := make([]int, len(slots))
+	for _, r := range base.Runs {
+		if id, ok := slots[runKey(r)]; ok {
+			taken[id]++
+		}
 	}
 
 	// Greedy additions: highest prediction variance first.
 	sel := make([]int, 0, add)
+	d := make([]float64, nc)
 	for t := 0; t < add; t++ {
+		variances(d, minv, candRows)
 		best, bestD := -1, math.Inf(-1)
 		bestDup, bestDupD := -1, math.Inf(-1)
-		for c := 0; c < nc; c++ {
-			d := quadForm(minv, candRows[c], candRows[c])
-			if used[keys[c]] == 0 {
-				if d > bestD {
-					best, bestD = c, d
+		for c, dc := range d {
+			if taken[slot[c]] == 0 {
+				if dc > bestD {
+					best, bestD = c, dc
 				}
-			} else if d > bestDupD {
-				bestDup, bestDupD = c, d
+			} else if dc > bestDupD {
+				bestDup, bestDupD = c, dc
 			}
 		}
 		if best < 0 {
 			best = bestDup // pool exhausted: replicate the most informative point
 		}
 		shermanMorrison(minv, candRows[best], +1)
-		used[keys[best]]++
+		taken[slot[best]]++
 		sel = append(sel, best)
 	}
 
-	// Fedorov exchange over the added block.
-	for pass := 0; pass < maxPasses; pass++ {
-		improved := false
-		for si := range sel {
-			out := candRows[sel[si]]
-			dOut := quadForm(minv, out, out)
-			bestDelta, bestCand := 1.0+1e-12, -1
-			for c := 0; c < nc; c++ {
-				if used[keys[c]] > 0 {
-					continue
-				}
-				in := candRows[c]
-				dIn := quadForm(minv, in, in)
-				dCross := quadForm(minv, in, out)
-				delta := (1+dIn)*(1-dOut) + dCross*dCross
-				if delta > bestDelta {
-					bestDelta, bestCand = delta, c
-				}
-			}
-			if bestCand < 0 {
-				continue
-			}
-			shermanMorrison(minv, candRows[bestCand], +1)
-			shermanMorrison(minv, out, -1)
-			used[keys[sel[si]]]--
-			used[keys[bestCand]]++
-			sel[si] = bestCand
-			improved = true
-		}
-		if !improved {
-			break
-		}
-	}
+	exchange(minv, candRows, sel, slot, taken, maxPasses)
 
 	added := &Design{Name: fmt.Sprintf("D-aug(+%d)", add), Runs: make([][]float64, len(sel))}
 	for i, id := range sel {

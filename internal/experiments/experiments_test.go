@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/simcache"
 )
 
 // quick is the reduced configuration used for the test suite.
@@ -141,6 +144,11 @@ func TestTabT3RSMAccuracy(t *testing.T) {
 }
 
 func TestTabT4ExplorationSpeed(t *testing.T) {
+	// A private cache keeps the timed simulations real: a repeated run
+	// (-count=2) would otherwise answer them from the shared DefaultRunner.
+	shared := core.DefaultRunner
+	core.DefaultRunner = simcache.New(simcache.Options{})
+	t.Cleanup(func() { core.DefaultRunner = shared })
 	tab, err := TabT4ExplorationSpeed(quick)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -97,6 +98,11 @@ func (j *Job) view() JobView {
 // cmd/ehdoed uses core.StandardProblem, tests substitute faster problems.
 type ProblemFactory func(amp, horizon float64) *core.Problem
 
+// jobHistory is how many finished (done, failed or canceled) jobs a
+// JobManager keeps for Get and List. Once more have finished, the oldest
+// are dropped; queued and running jobs are never dropped.
+const jobHistory = 1024
+
 // JobManagerConfig configures a JobManager.
 type JobManagerConfig struct {
 	// Registry receives finished surfaces under the requested model name;
@@ -154,6 +160,7 @@ type JobManager struct {
 	nextID int
 	jobs   map[string]*Job
 	order  []string
+	kept   int // finished jobs still in jobs and order
 	queue  chan *Job
 }
 
@@ -352,7 +359,8 @@ func (m *JobManager) QueueDepth() int { return len(m.queue) }
 // QueueCap reports the bounded queue's capacity.
 func (m *JobManager) QueueCap() int { return cap(m.queue) }
 
-// Get returns the snapshot of one job.
+// Get returns the snapshot of one job; a finished job past jobHistory is
+// gone.
 func (m *JobManager) Get(id string) (JobView, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -363,16 +371,17 @@ func (m *JobManager) Get(id string) (JobView, bool) {
 	return j.view(), true
 }
 
-// List returns snapshots of every job in submission order.
+// List returns snapshots of every retained job in submission order.
 func (m *JobManager) List() []JobView {
 	out, _ := m.ListPage("", "", 0)
 	return out
 }
 
-// ListPage returns job snapshots in submission order, optionally filtered
-// by state, starting after the given job ID (exclusive cursor; empty =
-// from the beginning) and bounded by limit (<=0 = unbounded). more reports
-// whether matching jobs remain past the page.
+// ListPage returns retained job snapshots in submission order, optionally
+// filtered by state, starting after the given job ID (exclusive cursor;
+// empty or no longer retained = from the oldest retained job) and bounded
+// by limit (<=0 = unbounded). more reports whether matching jobs remain
+// past the page.
 func (m *JobManager) ListPage(state JobState, after string, limit int) (page []JobView, more bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -421,6 +430,7 @@ func (m *JobManager) Shutdown(grace time.Duration) {
 			j.Error = "canceled: server shutting down"
 			j.Code = jobCodeCanceled
 			j.Finished = time.Now()
+			m.retire()
 			m.jobLog(j).Info("job canceled", "reason", "server shutting down, job still queued")
 			m.countFinished(JobCanceled)
 		}
@@ -441,6 +451,23 @@ func (m *JobManager) Shutdown(grace time.Duration) {
 		<-done
 	}
 	m.cancel()
+}
+
+// retire records that one more job reached a terminal state and, past
+// jobHistory, drops the oldest finished job. Callers hold m.mu.
+func (m *JobManager) retire() {
+	m.kept++
+	if m.kept <= jobHistory {
+		return
+	}
+	for i, id := range m.order {
+		if s := m.jobs[id].State; s != JobQueued && s != JobRunning {
+			delete(m.jobs, id)
+			m.order = slices.Delete(m.order, i, i+1)
+			m.kept--
+			return
+		}
+	}
 }
 
 func (m *JobManager) countFinished(state JobState) {
@@ -567,6 +594,7 @@ func (m *JobManager) run(j *Job) {
 		j.R2[string(id)] = r2
 	}
 	dur := j.Finished.Sub(j.Started)
+	m.retire()
 	m.mu.Unlock()
 	m.countFinished(JobDone)
 	rounds, skipped := 1, 0
@@ -621,6 +649,7 @@ func (m *JobManager) finish(j *Job, state JobState, code string, err error) {
 	if !j.Started.IsZero() {
 		dur = j.Finished.Sub(j.Started)
 	}
+	m.retire()
 	m.mu.Unlock()
 	m.countFinished(state)
 	lg := m.jobLog(j).With("dur_ms", float64(dur.Microseconds())/1e3)

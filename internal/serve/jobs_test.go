@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -182,5 +185,96 @@ func TestSubmitDefaults(t *testing.T) {
 	final := waitState(t, m, j.ID, JobDone)
 	if final.Runs != 27 { // CCF, k=4, 3 centre runs
 		t.Fatalf("CCF design size %d, want 27", final.Runs)
+	}
+}
+
+// TestJobHistoryKeepsNewestFinished: past jobHistory finished jobs the
+// oldest are dropped from Get, List and ListPage, queued and running jobs
+// never are, and ehdoed_jobs_total still counts every finished job.
+func TestJobHistoryKeepsNewestFinished(t *testing.T) {
+	quit := make(chan struct{})
+	first, second, open := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	close(open)
+	// The amplitude picks the gate a build's simulations wait on.
+	gated := func(amp, horizon float64) *core.Problem {
+		gate := open
+		switch amp {
+		case 0.7:
+			gate = first
+		case 0.8:
+			gate = second
+		}
+		return blockingProblem(gate, quit)(amp, horizon)
+	}
+	const n = jobHistory + 50
+	metrics := obs.NewRegistry()
+	m := NewJobManager(JobManagerConfig{Problem: gated, QueueCap: n, Metrics: metrics})
+	defer func() {
+		close(quit) // a failed check must not leave a build blocked
+		m.Shutdown(10 * time.Second)
+	}()
+
+	ids := make([]string, n)
+	for i := range ids {
+		amp := 0.6
+		switch i {
+		case 0:
+			amp = 0.7
+		case 1:
+			amp = 0.8
+		}
+		j, err := m.Submit(context.Background(), BuildRequest{Model: "h", Design: "ccf", Horizon: 1, Amp: amp})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids[i] = j.ID
+		if i == 0 {
+			waitState(t, m, j.ID, JobRunning)
+		}
+	}
+
+	// The first build finishes while n-1 jobs, more than jobHistory, wait
+	// behind it; the second then blocks with n-2 still queued. None of
+	// them may be dropped.
+	close(first)
+	waitState(t, m, ids[0], JobDone)
+	waitState(t, m, ids[1], JobRunning)
+	if got := len(m.List()); got != n {
+		t.Fatalf("List has %d jobs with one finished, want all %d", got, n)
+	}
+	if queued, _ := m.ListPage(JobQueued, "", 0); len(queued) != n-2 {
+		t.Fatalf("%d queued jobs listed, want %d", len(queued), n-2)
+	}
+
+	close(second)
+	// waitState allows 10 s; n builds can take longer under the race
+	// detector on a loaded machine.
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		if j, _ := m.Get(ids[n-1]); JobState(j.State) == JobDone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s not done after 2 minutes", ids[n-1])
+		}
+	}
+	for _, id := range ids[:n-jobHistory] {
+		if _, ok := m.Get(id); ok {
+			t.Fatalf("job %s is older than the newest %d finished jobs but still retained", id, jobHistory)
+		}
+	}
+	list := m.List()
+	if len(list) != jobHistory {
+		t.Fatalf("List has %d jobs, want jobHistory=%d", len(list), jobHistory)
+	}
+	oldest := ids[n-jobHistory]
+	if list[0].ID != oldest || list[len(list)-1].ID != ids[n-1] {
+		t.Fatalf("List spans %s…%s, want %s…%s", list[0].ID, list[len(list)-1].ID, oldest, ids[n-1])
+	}
+	if page, more := m.ListPage("", ids[0], 1); len(page) != 1 || page[0].ID != oldest || !more {
+		t.Fatalf("ListPage after pruned %s = %+v (more %v), want it to start at %s", ids[0], page, more, oldest)
+	}
+	want := fmt.Sprintf(`ehdoed_jobs_total{state="done"} %d`, n)
+	if page := string(metrics.Render()); !strings.Contains(page, want+"\n") {
+		t.Fatalf("metrics lack %q:\n%s", want, page)
 	}
 }
