@@ -76,7 +76,6 @@ func benchFleet(r *benchkit.Report, name string, n int) (testing.BenchmarkResult
 			Problem:     fleetBenchProblem,
 			Concurrency: 1,
 			Heartbeat:   10 * time.Millisecond,
-			Poll:        time.Millisecond,
 		})
 		if err != nil {
 			return testing.BenchmarkResult{}, err
@@ -189,7 +188,6 @@ func benchFleetRepeated(r *benchkit.Report, baseline testing.BenchmarkResult) er
 			PeerAddr:    "127.0.0.1:0",
 			Concurrency: 1,
 			Heartbeat:   10 * time.Millisecond,
-			Poll:        time.Millisecond,
 		})
 		if err != nil {
 			return err

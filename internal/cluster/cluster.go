@@ -117,8 +117,6 @@ type RegisterResponse struct {
 	Epoch string `json:"epoch"`
 	// HeartbeatS is the heartbeat interval the coordinator expects (s).
 	HeartbeatS float64 `json:"heartbeat_s"`
-	// PollS is the suggested idle lease-poll interval (s).
-	PollS float64 `json:"poll_s"`
 	// Draining reports that the coordinator is shutting down.
 	Draining bool `json:"draining,omitempty"`
 	// Map is the current cache shard map (nil until a peer-capable worker

@@ -37,8 +37,10 @@ type Config struct {
 	// which a worker is circuit-broken (evicted); it may rejoin by
 	// re-registering (default 3).
 	MaxWorkerFailures int
-	// PollInterval is the idle lease-poll interval advertised to workers
-	// (default 200ms).
+	// PollInterval bounds how long a lease request with nothing to grant
+	// is held open waiting for work before it is answered empty (default
+	// 200ms). Queued or requeued points and draining release held requests
+	// at once, so this only sets how often an idle worker re-asks.
 	PollInterval time.Duration
 	// Shards is the cache shard-map slot count (default DefaultShards).
 	Shards int
@@ -206,6 +208,10 @@ type Coordinator struct {
 	shardIDs []string
 	departed CacheStats
 
+	// work is closed and replaced (wakeLocked) whenever points are queued
+	// or draining starts, releasing every lease request held in Lease.
+	work chan struct{}
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -219,6 +225,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:     cfg,
 		log:     cfg.Log,
 		workers: make(map[string]*workerState),
+		work:    make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
 	c.wg.Add(1)
@@ -420,7 +427,6 @@ func (c *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 	return RegisterResponse{
 		Epoch:      w.epoch,
 		HeartbeatS: c.cfg.HeartbeatInterval.Seconds(),
-		PollS:      c.cfg.PollInterval.Seconds(),
 		Map:        c.shardMap,
 	}, nil
 }
@@ -453,19 +459,47 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	return HeartbeatResponse{OK: true, Draining: c.draining, Map: c.mapIfNewerLocked(req.Generation)}
 }
 
-// Lease grants the next batch of pending design points to the worker, or
-// nothing when no build has work. Jobs are drained in submission order.
-func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
+// Lease grants the next batch of pending design points to the worker.
+// Jobs are drained in submission order. A request with nothing to grant
+// is held until points are queued, draining starts, ctx ends or
+// PollInterval elapses; only the last two answer it empty.
+func (c *Coordinator) Lease(ctx context.Context, req LeaseRequest) LeaseResponse {
+	var hold *time.Timer // started by the first empty pass
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.draining {
-		return LeaseResponse{Draining: true}
+	for {
+		if c.draining {
+			return LeaseResponse{Draining: true}
+		}
+		w := c.checkLocked(req.Worker, req.Epoch)
+		if w == nil {
+			return LeaseResponse{Gone: true}
+		}
+		w.lastBeat = time.Now()
+		if resp, ok := c.grantLocked(w, req); ok {
+			return resp
+		}
+		if hold == nil {
+			hold = time.NewTimer(c.cfg.PollInterval)
+			defer hold.Stop()
+		}
+		wake := c.work
+		c.mu.Unlock()
+		select {
+		case <-wake:
+			c.mu.Lock()
+			continue
+		case <-ctx.Done():
+		case <-hold.C:
+		}
+		c.mu.Lock()
+		return LeaseResponse{Map: c.mapIfNewerLocked(req.Generation)}
 	}
-	w := c.checkLocked(req.Worker, req.Epoch)
-	if w == nil {
-		return LeaseResponse{Gone: true}
-	}
-	w.lastBeat = time.Now()
+}
+
+// grantLocked moves up to the lease size of the first job's pending
+// points into a lease for w; ok is false when no job has pending work.
+func (c *Coordinator) grantLocked(w *workerState, req LeaseRequest) (LeaseResponse, bool) {
 	maxPts := c.cfg.LeasePoints
 	if req.Max > 0 && req.Max < maxPts {
 		maxPts = req.Max
@@ -511,9 +545,16 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 			// Carried on the grant so a worker never executes a lease
 			// against an older map than the coordinator holds.
 			Map: c.mapIfNewerLocked(req.Generation),
-		}
+		}, true
 	}
-	return LeaseResponse{Map: c.mapIfNewerLocked(req.Generation)}
+	return LeaseResponse{}, false
+}
+
+// wakeLocked releases every lease request held in Lease so it re-checks
+// the queues (and the draining flag).
+func (c *Coordinator) wakeLocked() {
+	close(c.work)
+	c.work = make(chan struct{})
 }
 
 // Results records a finished lease. Results for points already filled by
@@ -703,6 +744,7 @@ func (c *Coordinator) RunDesign(ctx context.Context, spec JobSpec, d *doe.Design
 		j.spec.ID = fmt.Sprintf("fleet-%06d", c.nextJob)
 	}
 	c.jobs = append(c.jobs, j)
+	c.wakeLocked()
 	workers := c.liveWorkersLocked()
 	c.mu.Unlock()
 
@@ -769,6 +811,7 @@ func (c *Coordinator) Shutdown() {
 			c.setInflightLocked(w)
 		}
 		c.log.Info("coordinator draining", "workers", len(c.workers))
+		c.wakeLocked()
 	}
 	c.mu.Unlock()
 	c.stopOnce.Do(func() { close(c.stop) })
@@ -883,6 +926,7 @@ func (c *Coordinator) requeuePointLocked(j *runJob, idx int, cause error) {
 	j.pending = append(j.pending, idx)
 	j.queued[idx] = true
 	j.requeues++
+	c.wakeLocked()
 	if c.metrics.requeued != nil {
 		c.metrics.requeued.Inc()
 	}

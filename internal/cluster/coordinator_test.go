@@ -142,7 +142,7 @@ func leaseOrPoll(t *testing.T, c *Coordinator, worker, epoch string) LeaseRespon
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		lr := c.Lease(LeaseRequest{Worker: worker, Epoch: epoch})
+		lr := c.Lease(context.Background(), LeaseRequest{Worker: worker, Epoch: epoch})
 		if lr.Lease != nil || lr.Gone || lr.Draining {
 			return lr
 		}
@@ -166,7 +166,7 @@ func drainJob(t *testing.T, c *Coordinator, id, epoch string, done <-chan built)
 			t.Fatal("build never finished")
 		default:
 		}
-		lr := c.Lease(LeaseRequest{Worker: id, Epoch: epoch})
+		lr := c.Lease(context.Background(), LeaseRequest{Worker: id, Epoch: epoch})
 		if lr.Gone || lr.Draining {
 			t.Fatalf("worker %s rejected mid-drain: %+v", id, lr)
 		}
@@ -289,7 +289,7 @@ func TestCircuitBreakerEviction(t *testing.T) {
 			{Index: lr.Lease.Points[0].Index, Error: "injected transient", Transient: true},
 		}})
 	}
-	if lr := c.Lease(LeaseRequest{Worker: "bad", Epoch: bad.Epoch}); !lr.Gone {
+	if lr := c.Lease(context.Background(), LeaseRequest{Worker: "bad", Epoch: bad.Epoch}); !lr.Gone {
 		t.Fatalf("evicted worker still leasing: %+v", lr)
 	}
 	views := c.Workers()
@@ -374,7 +374,7 @@ func TestPointBudgetExhaustion(t *testing.T) {
 			t.Fatal("build never failed")
 		default:
 		}
-		lr := c.Lease(LeaseRequest{Worker: "a", Epoch: reg.Epoch})
+		lr := c.Lease(context.Background(), LeaseRequest{Worker: "a", Epoch: reg.Epoch})
 		if lr.Lease == nil {
 			time.Sleep(time.Millisecond)
 			continue
@@ -402,7 +402,7 @@ func TestShutdownDrainsBuildsAndWorkers(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("build survived shutdown")
 	}
-	if lr := c.Lease(LeaseRequest{Worker: "a", Epoch: reg.Epoch}); !lr.Draining {
+	if lr := c.Lease(context.Background(), LeaseRequest{Worker: "a", Epoch: reg.Epoch}); !lr.Draining {
 		t.Fatalf("lease after shutdown: %+v", lr)
 	}
 	if rr, err := c.Register(RegisterRequest{Worker: "b"}); err != nil || !rr.Draining {

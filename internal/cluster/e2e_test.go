@@ -49,7 +49,6 @@ func startWorker(t *testing.T, url, id string, factory ProblemFactory, lg *slog.
 		Problem:     factory,
 		Concurrency: 2,
 		Heartbeat:   10 * time.Millisecond,
-		Poll:        2 * time.Millisecond,
 		Log:         lg,
 	})
 	if err != nil {

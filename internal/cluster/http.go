@@ -42,7 +42,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decodeBody(w, r, &req) || !checkProto(w, req) {
 			return
 		}
-		encodeBody(w, c.Lease(req))
+		encodeBody(w, c.Lease(r.Context(), req))
 	})
 	mux.HandleFunc("POST "+PathResults, func(w http.ResponseWriter, r *http.Request) {
 		var req ResultsRequest

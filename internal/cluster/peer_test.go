@@ -211,7 +211,6 @@ func startCacheWorker(t *testing.T, url, id string, runner simcache.Runner, cach
 		PeerAddr:    "127.0.0.1:0",
 		Concurrency: 2,
 		Heartbeat:   10 * time.Millisecond,
-		Poll:        2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -34,10 +34,9 @@ type WorkerConfig struct {
 	// MaxLeasePoints caps the points requested per lease; <=0 lets the
 	// coordinator pick.
 	MaxLeasePoints int
-	// Heartbeat and Poll override the coordinator-advertised intervals
+	// Heartbeat overrides the coordinator-advertised heartbeat interval
 	// when positive.
 	Heartbeat time.Duration
-	Poll      time.Duration
 	// Cache, when set, joins the worker to the fleet's sharded cache tier:
 	// misses consult the owning peer before simulating, and fresh results
 	// replicate to the owner. Cache should be the same *simcache.Cache the
@@ -68,8 +67,7 @@ type Worker struct {
 	client *Client
 	log    *slog.Logger
 
-	hb   time.Duration
-	poll time.Duration
+	hb time.Duration
 
 	mu     sync.Mutex
 	epoch  string
@@ -109,7 +107,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		client: &Client{Base: cfg.Coordinator, HTTP: cfg.HTTP},
 		log:    lg.With("worker", id),
 		hb:     cfg.Heartbeat,
-		poll:   cfg.Poll,
 	}, nil
 }
 
@@ -180,23 +177,29 @@ func (w *Worker) Run(ctx context.Context) (err error) {
 	w.wg.Add(1)
 	go w.heartbeatLoop(runCtx)
 
+	backoff := minBackoff
 	for {
 		if runCtx.Err() != nil {
 			return context.Cause(runCtx)
 		}
+		// The coordinator holds an empty request until work is queued, so
+		// the worker asks again at once after an empty answer.
 		lr, err := w.client.Lease(runCtx, LeaseRequest{
 			Worker: w.id, Epoch: w.getEpoch(), Max: w.cfg.MaxLeasePoints,
 			Generation: w.generation(),
 		})
-		switch {
-		case err != nil:
-			// Coordinator unreachable: keep polling until it returns or the
+		if err != nil {
+			// Coordinator unreachable: back off until it returns or the
 			// context ends.
-			w.log.Warn("lease poll failed", "err", err.Error())
-			if !sleepCtx(runCtx, w.poll) {
+			w.log.Warn("lease request failed", "err", err.Error())
+			if !sleepCtx(runCtx, backoff) {
 				return context.Cause(runCtx)
 			}
+			backoff = nextBackoff(backoff)
 			continue
+		}
+		backoff = minBackoff
+		switch {
 		case lr.Draining:
 			return w.drain(ctx)
 		case lr.Gone:
@@ -206,9 +209,6 @@ func (w *Worker) Run(ctx context.Context) (err error) {
 			continue
 		case lr.Lease == nil:
 			w.adoptMap(lr.Map)
-			if !sleepCtx(runCtx, w.poll) {
-				return context.Cause(runCtx)
-			}
 			continue
 		}
 
@@ -242,7 +242,7 @@ func (w *Worker) Run(ctx context.Context) (err error) {
 // coordinator is unreachable. Reports draining=true when the coordinator
 // refused admission because it is shutting down.
 func (w *Worker) register(ctx context.Context) (draining bool, err error) {
-	backoff := 50 * time.Millisecond
+	backoff := minBackoff
 	for {
 		resp, err := w.client.Register(ctx, RegisterRequest{
 			Worker: w.id, Capacity: w.cfg.Concurrency, PeerURL: w.peerURL,
@@ -255,18 +255,12 @@ func (w *Worker) register(ctx context.Context) (draining bool, err error) {
 			w.setEpoch(resp.Epoch)
 			w.adoptMap(resp.Map)
 			// Adopt the advertised cadence unless configured explicitly.
-			// Only the first registration can write these: the heartbeat
-			// loop (which reads them) starts after it returns.
+			// Only the first registration can write it: the heartbeat loop
+			// (which reads it) starts after it returns.
 			if w.hb <= 0 {
 				w.hb = time.Duration(resp.HeartbeatS * float64(time.Second))
 				if w.hb <= 0 {
 					w.hb = 2 * time.Second
-				}
-			}
-			if w.poll <= 0 {
-				w.poll = time.Duration(resp.PollS * float64(time.Second))
-				if w.poll <= 0 {
-					w.poll = 200 * time.Millisecond
 				}
 			}
 			w.log.Info("worker registered", "epoch", resp.Epoch,
@@ -277,10 +271,19 @@ func (w *Worker) register(ctx context.Context) (draining bool, err error) {
 		if !sleepCtx(ctx, backoff) {
 			return false, context.Cause(ctx)
 		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
+		backoff = nextBackoff(backoff)
 	}
+}
+
+// The backoff while the coordinator is unreachable: minBackoff, doubling
+// per failed call, capped at maxBackoff.
+const (
+	minBackoff = 50 * time.Millisecond
+	maxBackoff = 2 * time.Second
+)
+
+func nextBackoff(d time.Duration) time.Duration {
+	return min(2*d, maxBackoff)
 }
 
 // heartbeatLoop keeps the incarnation alive. Gone/Draining answers are
@@ -396,9 +399,6 @@ func (w *Worker) cacheStats() *CacheStats {
 // sleepCtx waits d or until ctx ends; reports whether the full delay
 // elapsed.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		d = 50 * time.Millisecond
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

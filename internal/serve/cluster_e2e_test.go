@@ -54,7 +54,6 @@ func startFleetWorker(t *testing.T, url, id string, factory cluster.ProblemFacto
 		Problem:     factory,
 		Concurrency: 2,
 		Heartbeat:   10 * time.Millisecond,
-		Poll:        2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +432,6 @@ func startCacheFleetWorker(t *testing.T, url, id string) (*cluster.Worker, chan 
 		PeerAddr:    "127.0.0.1:0",
 		Concurrency: 2,
 		Heartbeat:   10 * time.Millisecond,
-		Poll:        2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

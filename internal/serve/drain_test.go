@@ -33,7 +33,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	// Healthy before the drain.
 	resp, body := get(t, ts.URL+"/healthz")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"status": "ok"`) {
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"status":"ok"`) {
 		t.Fatalf("pre-drain healthz: %d %s", resp.StatusCode, body)
 	}
 

@@ -48,7 +48,7 @@ func (s *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) || !checkClusterProto(w, req) {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.coord.Lease(req))
+	writeJSON(w, http.StatusOK, s.coord.Lease(r.Context(), req))
 }
 
 func (s *Server) handleClusterResults(w http.ResponseWriter, r *http.Request) {

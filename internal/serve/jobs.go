@@ -585,17 +585,11 @@ func (m *JobManager) run(j *Job) {
 	saved := res.Surfaces.SaveWithData(ds)
 	m.registry.Set(j.Req.Model, saved)
 
-	m.mu.Lock()
-	j.State = JobDone
-	j.Finished = time.Now()
-	j.Speedup = ds.Speedup()
-	j.R2 = make(map[string]float64, len(saved.R2))
-	for id, r2 := range saved.R2 {
-		j.R2[string(id)] = r2
-	}
-	dur := j.Finished.Sub(j.Started)
-	m.retire()
-	m.mu.Unlock()
+	// Count and log before publishing done, so a reader that sees the
+	// terminal state also sees the counters and the "job done" line.
+	// Only this goroutine writes j.Started, so it is read unlocked.
+	finished := time.Now()
+	dur := finished.Sub(j.Started)
 	m.countFinished(JobDone)
 	rounds, skipped := 1, 0
 	if a := res.Adaptive; a != nil {
@@ -609,6 +603,17 @@ func (m *JobManager) run(j *Job) {
 		"dur_ms", float64(dur.Microseconds())/1e3,
 		"sim_ms", float64(ds.SimTime.Microseconds())/1e3,
 		"speedup", ds.Speedup())
+
+	m.mu.Lock()
+	j.State = JobDone
+	j.Finished = finished
+	j.Speedup = ds.Speedup()
+	j.R2 = make(map[string]float64, len(saved.R2))
+	for id, r2 := range saved.R2 {
+		j.R2[string(id)] = r2
+	}
+	m.retire()
+	m.mu.Unlock()
 }
 
 // classify maps a failed build's error to its terminal state and
@@ -637,26 +642,32 @@ func (m *JobManager) classify(ctx context.Context, j *Job, err error) (JobState,
 	return JobFailed, "", err
 }
 
+// finish publishes a failed or canceled job, counting and logging it
+// first, as run does for a done one.
 func (m *JobManager) finish(j *Job, state JobState, code string, err error) {
-	m.mu.Lock()
-	j.State = state
-	j.Code = code
-	if err != nil {
-		j.Error = err.Error()
-	}
-	j.Finished = time.Now()
+	finished := time.Now()
 	var dur time.Duration
 	if !j.Started.IsZero() {
-		dur = j.Finished.Sub(j.Started)
+		dur = finished.Sub(j.Started)
 	}
-	m.retire()
-	m.mu.Unlock()
+	msg := ""
+	if err != nil {
+		msg = err.Error()
+	}
 	m.countFinished(state)
 	lg := m.jobLog(j).With("dur_ms", float64(dur.Microseconds())/1e3)
 	switch state {
 	case JobCanceled:
-		lg.Info("job canceled", "reason", j.Error)
+		lg.Info("job canceled", "reason", msg)
 	default:
-		lg.Warn("job failed", "code", code, "err", j.Error)
+		lg.Warn("job failed", "code", code, "err", msg)
 	}
+
+	m.mu.Lock()
+	j.State = state
+	j.Code = code
+	j.Error = msg
+	j.Finished = finished
+	m.retire()
+	m.mu.Unlock()
 }
