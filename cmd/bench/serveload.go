@@ -19,7 +19,7 @@ import (
 // Three numbers land in the report:
 //
 //   - serve/SustainedPredict_p50 (benchmark, drift-gated): admitted median
-//     latency through the full middleware stack (admission, memo lookup,
+//     latency through the full middleware stack (admission, compute,
 //     instrumentation), normalized like every other benchmark so the gate
 //     survives machine changes.
 //   - sustained_goodput_ratio (speedup, drift-gated): goodput over offered.

@@ -33,9 +33,7 @@
 // per-endpoint admission control (-admission, -limit-surface,
 // -limit-validate, -limit-wait) — saturated endpoints shed with a typed
 // 429 "overloaded" envelope and a Retry-After hint instead of queueing
-// without bound, and repeated predict/sweep questions are answered from a
-// model-versioned response memo (-memo-size). See README "Overload
-// behavior".
+// without bound. See README "Overload behavior".
 //
 // Observability: every request gets (or keeps) an X-Request-ID; the same
 // ID threads the access log, build-job transitions and simulation-run
@@ -86,13 +84,11 @@ func main() {
 	clusterHeartbeat := flag.Duration("cluster-heartbeat", 2*time.Second, "worker-fleet heartbeat interval advertised to simnode workers")
 	clusterLeaseTimeout := flag.Duration("cluster-lease-timeout", 60*time.Second, "worker-fleet lease age past which slow leases are stolen")
 	clusterLeasePoints := flag.Int("cluster-lease-points", 4, "max design points per worker-fleet lease")
-	strictAPI := flag.Bool("strict-api", false, "reject deprecated request fields (the legacy \"amp\" alias) with code bad_field")
 	admission := flag.Bool("admission", true, "per-endpoint admission control (load shedding with Retry-After)")
 	limitSurface := flag.Int("limit-surface", 0, "max concurrent surface requests (predict/sweep/optimize) per endpoint (0 = 4×GOMAXPROCS)")
 	limitValidate := flag.Int("limit-validate", 0, "max concurrent validate requests (0 = GOMAXPROCS)")
 	limitWait := flag.Duration("limit-wait", 0, "max queue wait before a surface request is shed (0 = built-in default)")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint attached to shed responses")
-	memoSize := flag.Int("memo-size", 512, "response-memo capacity for predict/sweep, entries (negative disables)")
 	faultCfg := fault.FlagConfig(flag.CommandLine)
 	flag.Parse()
 
@@ -137,13 +133,11 @@ func main() {
 		Logger:      logger,
 		EnablePprof: *pprof,
 		JobTimeout:  *jobTimeout,
-		StrictAPI:   *strictAPI,
 		Load: serve.LoadConfig{
-			Disable:      !*admission,
-			Surface:      serve.EndpointLimit{MaxConcurrent: *limitSurface, MaxWait: *limitWait},
-			Validate:     serve.EndpointLimit{MaxConcurrent: *limitValidate},
-			RetryAfter:   *retryAfter,
-			MemoCapacity: *memoSize,
+			Disable:    !*admission,
+			Surface:    serve.EndpointLimit{MaxConcurrent: *limitSurface, MaxWait: *limitWait},
+			Validate:   serve.EndpointLimit{MaxConcurrent: *limitValidate},
+			RetryAfter: *retryAfter,
 		},
 		Cluster: cluster.Config{
 			HeartbeatInterval: *clusterHeartbeat,

@@ -123,6 +123,11 @@ func DecodeSurfaces(data []byte) (*SavedSurfaces, error) {
 	return &ss, nil
 }
 
+// maxTermPower bounds each exponent of a decoded basis. The fitters emit
+// at most 2 (rsm.FullQuadratic); a cap keeps an uploaded model from
+// turning one prediction into billions of multiplications.
+const maxTermPower = 3
+
 func (ss *SavedSurfaces) validate() error {
 	if len(ss.Factors) == 0 {
 		return fmt.Errorf("core: saved surfaces have no factors")
@@ -139,6 +144,11 @@ func (ss *SavedSurfaces) validate() error {
 	for i, t := range ss.Terms {
 		if len(t) != k {
 			return fmt.Errorf("core: term %d has %d powers, want %d", i, len(t), k)
+		}
+		for j, p := range t {
+			if p < 0 || p > maxTermPower {
+				return fmt.Errorf("core: term %d power %d of factor %d outside 0..%d", i, p, j, maxTermPower)
+			}
 		}
 	}
 	if len(ss.Coef) == 0 {
@@ -157,6 +167,17 @@ func (ss *SavedSurfaces) Model() rsm.Model {
 	m := rsm.Model{K: len(ss.Factors)}
 	for _, powers := range ss.Terms {
 		m.Terms = append(m.Terms, rsm.Term{Powers: append([]int(nil), powers...)})
+	}
+	return m
+}
+
+// basis is Model for read-only evaluation: its terms share the exponent
+// vectors of ss.Terms, so it costs one allocation instead of one per term.
+// Saved surfaces are immutable once built, which makes the sharing safe.
+func (ss *SavedSurfaces) basis() rsm.Model {
+	m := rsm.Model{K: len(ss.Factors), Terms: make([]rsm.Term, len(ss.Terms))}
+	for i, powers := range ss.Terms {
+		m.Terms[i].Powers = powers
 	}
 	return m
 }
@@ -188,8 +209,7 @@ func (ss *SavedSurfaces) Predict(id ResponseID, coded []float64) (float64, error
 	if len(coded) != len(ss.Factors) {
 		return 0, fmt.Errorf("core: point has %d coordinates, model wants %d", len(coded), len(ss.Factors))
 	}
-	m := ss.Model()
-	row := m.Row(coded)
+	row := ss.basis().Row(coded)
 	var v float64
 	for i, c := range coef {
 		v += c * row[i]
@@ -228,7 +248,7 @@ func (ss *SavedSurfaces) Predictor(id ResponseID) (func(coded []float64) float64
 	if !ok {
 		return nil, fmt.Errorf("core: saved surfaces lack response %q", id)
 	}
-	m := ss.Model()
+	m := ss.basis()
 	scratch := make([]float64, len(m.Terms))
 	return func(coded []float64) float64 {
 		row := m.RowInto(coded, scratch)

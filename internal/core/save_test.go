@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -260,4 +261,77 @@ func TestSaveWithDataRefit(t *testing.T) {
 	if _, err := plain.Refit(RespStoredEnergy); err == nil {
 		t.Fatal("refit without data must error")
 	}
+}
+
+// TestDecodeSurfacesBoundsPowers: an uploaded basis may not carry
+// exponents outside 0..maxTermPower. A huge one would make every
+// prediction a long loop; a negative one is meaningless.
+func TestDecodeSurfacesBoundsPowers(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		power string
+		ok    bool
+	}{
+		{"cubic", "3", true},
+		{"huge", "300000000", false},
+		{"negative", "-1", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := `{"factors":[{"name":"a","min":0,"max":1}],"terms":[[0],[` + tc.power + `]],"coef":{"p":[1,1]}}`
+			_, err := DecodeSurfaces([]byte(doc))
+			if tc.ok && err != nil {
+				t.Fatalf("power %s rejected: %v", tc.power, err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatalf("power %s accepted", tc.power)
+			}
+		})
+	}
+}
+
+// TestPredictBatchAllocs pins the batch predictor's allocations: the basis
+// shares the saved exponent vectors instead of copying one per term.
+func TestPredictBatchAllocs(t *testing.T) {
+	m := rsm.FullQuadratic(4)
+	ss := &SavedSurfaces{Coef: map[ResponseID][]float64{RespStoredEnergy: make([]float64, len(m.Terms))}}
+	for j := 0; j < m.K; j++ {
+		ss.Factors = append(ss.Factors, doe.Factor{Name: fmt.Sprintf("x%d", j+1), Min: 0, Max: 1})
+	}
+	for _, term := range m.Terms {
+		ss.Terms = append(ss.Terms, term.Powers)
+	}
+	points := [][]float64{{0, 0, 0, 0}, {0.5, -0.5, 0.25, 1}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ss.PredictBatch(RespStoredEnergy, points); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("PredictBatch on %d terms: %v allocations per call, want at most 4", len(m.Terms), allocs)
+	}
+}
+
+// FuzzDecodeSurfaces: every document DecodeSurfaces accepts must predict
+// each of its responses at the coded centre and encode the factor
+// midpoints, without panicking.
+func FuzzDecodeSurfaces(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ss, err := DecodeSurfaces(data)
+		if err != nil {
+			return
+		}
+		centre := [][]float64{make([]float64, len(ss.Factors))}
+		for _, id := range ss.Responses() {
+			if _, err := ss.PredictBatch(id, centre); err != nil {
+				t.Fatalf("accepted model cannot predict %q at the centre: %v", id, err)
+			}
+		}
+		mid := make([]float64, len(ss.Factors))
+		for i, fac := range ss.Factors {
+			mid[i] = (fac.Min + fac.Max) / 2
+		}
+		if _, err := ss.EncodePoint(mid); err != nil {
+			t.Fatalf("accepted model cannot encode its midpoint: %v", err)
+		}
+	})
 }

@@ -1,8 +1,7 @@
 // Package load is the overload-resilience toolkit behind the ehdoed
 // daemon: per-endpoint admission control (a concurrency semaphore with a
-// bounded, deadline-aware wait queue), a bounded response memo for the
-// lock-free read path, and an open-loop load generator that measures how
-// a server behaves under sustained traffic.
+// bounded, deadline-aware wait queue) and an open-loop load generator that
+// measures how a server behaves under sustained traffic.
 //
 // The design goal is predictable degradation: past capacity, requests are
 // shed immediately with a machine-readable reason and a retry hint,

@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"math"
 	"net/http"
 	"runtime"
@@ -25,12 +22,12 @@ type EndpointLimit struct {
 	MaxWait       time.Duration
 }
 
-// LoadConfig tunes the server's admission control and response memo.
-// Admission control is on by default: each synchronous model endpoint
-// gets its own limiter, so a flood of expensive validations cannot
-// starve the cheap surface reads and vice versa.
+// LoadConfig tunes the server's admission control. It is on by default:
+// each synchronous model endpoint gets its own limiter, so a flood of
+// expensive validations cannot starve the cheap surface reads and vice
+// versa.
 type LoadConfig struct {
-	// Disable turns admission control off entirely (the memo stays).
+	// Disable turns admission control off entirely.
 	Disable bool
 	// Surface bounds each of the surrogate-backed endpoints — predict,
 	// sweep and optimize get one limiter each with these bounds.
@@ -44,9 +41,6 @@ type LoadConfig struct {
 	// RetryAfter is the advisory backoff attached to shed responses
 	// (default 1s; rounded up to whole seconds on the wire).
 	RetryAfter time.Duration
-	// MemoCapacity bounds the predict/sweep response memo (default 512
-	// entries); negative disables memoization.
-	MemoCapacity int
 }
 
 func (c LoadConfig) withDefaults() LoadConfig {
@@ -72,9 +66,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.MemoCapacity == 0 {
-		c.MemoCapacity = 512
-	}
 	return c
 }
 
@@ -95,13 +86,6 @@ func (s *Server) initAdmission(cfg LoadConfig) {
 		"Requests currently admitted and executing, by endpoint.", "endpoint")
 	queued := s.reg.GaugeVec("ehdoed_admission_queue_depth",
 		"Requests currently queued for an admission slot, by endpoint.", "endpoint")
-	s.memoHits = s.reg.CounterVec("ehdoed_memo_hits_total",
-		"Responses replayed from the model-versioned response memo, by endpoint.", "endpoint")
-	s.memoMisses = s.reg.CounterVec("ehdoed_memo_misses_total",
-		"Memoizable requests that had to be computed, by endpoint.", "endpoint")
-	if cfg.MemoCapacity > 0 {
-		s.memo = load.NewMemo(cfg.MemoCapacity)
-	}
 	if cfg.Disable {
 		return
 	}
@@ -160,64 +144,4 @@ func retryAfterSeconds(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.FormatInt(secs, 10)
-}
-
-// memoKey fingerprints one (endpoint, model version, request body): the
-// ETag pins the surfaces that answered, the body hash pins the exact
-// question asked.
-func memoKey(endpoint, etag string, body []byte) string {
-	sum := sha256.Sum256(body)
-	return endpoint + "\x00" + etag + "\x00" + hex.EncodeToString(sum[:])
-}
-
-// memoServe answers a request from the memo when possible; true means the
-// response was written. Memoized bytes are replayed verbatim, so a hit is
-// byte-identical to the response the original computation produced.
-func (s *Server) memoServe(w http.ResponseWriter, endpoint, key string) bool {
-	if s.memo == nil {
-		return false
-	}
-	body, ok := s.memo.Get(key)
-	if !ok {
-		s.memoMisses.With(endpoint).Inc()
-		return false
-	}
-	s.memoHits.With(endpoint).Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Memo", "hit")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-	return true
-}
-
-// captureWriter tees a handler's response into a buffer so 200 bodies can
-// be memoized exactly as written.
-type captureWriter struct {
-	http.ResponseWriter
-	status int
-	buf    bytes.Buffer
-}
-
-func newCaptureWriter(w http.ResponseWriter) *captureWriter {
-	return &captureWriter{ResponseWriter: w, status: http.StatusOK}
-}
-
-func (w *captureWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *captureWriter) Write(b []byte) (int, error) {
-	w.buf.Write(b)
-	return w.ResponseWriter.Write(b)
-}
-
-// memoStore memoizes a captured 200 response.
-func (s *Server) memoStore(key string, cw *captureWriter) {
-	if s.memo == nil || cw.status != http.StatusOK {
-		return
-	}
-	body := make([]byte, cw.buf.Len())
-	copy(body, cw.buf.Bytes())
-	s.memo.Put(key, body)
 }

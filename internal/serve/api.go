@@ -184,15 +184,12 @@ type OptimizeResponse struct {
 
 // ValidateRequest asks for confirming simulations: n fresh random points
 // simulated and compared against the surface predictions. Excite and
-// Horizon make the simulated problem explicit; omitted they fall back to
-// the legacy implicit behaviour (amp, then 0.6; the model's horizon).
+// Horizon make the simulated problem explicit; omitted they default to
+// 0.6 and the model's horizon.
 type ValidateRequest struct {
-	Model string `json:"model"`
-	N     int    `json:"n,omitempty"`
-	Seed  int64  `json:"seed,omitempty"`
-	// Amp is the legacy name for the excitation amplitude; Excite wins
-	// when both are set.
-	Amp     float64 `json:"amp,omitempty" spec:"deprecated"`
+	Model   string  `json:"model"`
+	N       int     `json:"n,omitempty"`
+	Seed    int64   `json:"seed,omitempty"`
 	Excite  float64 `json:"excite,omitempty"`
 	Horizon float64 `json:"horizon_s,omitempty"`
 	// Engine selects the simulation engine for the confirming runs:
@@ -241,9 +238,7 @@ type BuildRequest struct {
 	Design   string  `json:"design,omitempty"`
 	Runs     int     `json:"runs,omitempty"`
 	Horizon  float64 `json:"horizon_s,omitempty"`
-	// Amp is the legacy name for the excitation amplitude; Excite wins
-	// when both are set (default 0.6).
-	Amp     float64 `json:"amp,omitempty" spec:"deprecated"`
+	// Excite is the excitation amplitude (default 0.6).
 	Excite  float64 `json:"excite,omitempty"`
 	Seed    int64   `json:"seed,omitempty"`
 	Workers int     `json:"workers,omitempty"`
@@ -327,7 +322,7 @@ type JobView struct {
 	State      string             `json:"state"`
 	Runs       int                `json:"runs,omitempty"`
 	Horizon    float64            `json:"horizon_s"`
-	Amp        float64            `json:"amp"`
+	Excite     float64            `json:"excite"`
 	Seed       int64              `json:"seed"`
 	Workers    int                `json:"workers,omitempty"`
 	Pool       string             `json:"pool,omitempty"`

@@ -108,13 +108,12 @@ func TestJobsPagination(t *testing.T) {
 }
 
 // TestValidateExplicitSpec covers the explicit problem spec on
-// /v1/validate: excite and horizon_s select the simulation, the legacy
-// amp field still works, and omitting both keeps the model's own horizon.
+// /v1/validate: excite and horizon_s select the simulation.
 func TestValidateExplicitSpec(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	srv.Registry().Set("m", fixture(t))
 
-	// Explicit spec: the model was built at amp 0.6, horizon 2 — ask for
+	// Explicit spec: the model was built at excite 0.6, horizon 2 — ask for
 	// the same excitation over a shorter horizon.
 	resp, body := postJSON(t, ts.URL+"/v1/validate", ValidateRequest{
 		Model: "m", N: 2, Seed: 7, Excite: 0.6, Horizon: 1,
@@ -126,22 +125,6 @@ func TestValidateExplicitSpec(t *testing.T) {
 	unmarshal(t, body, &vr)
 	if vr.N != 2 || len(vr.Rows) == 0 {
 		t.Fatalf("explicit validate report: %s", body)
-	}
-
-	// Legacy amp spelling still accepted.
-	resp, body = postJSON(t, ts.URL+"/v1/validate", ValidateRequest{
-		Model: "m", N: 2, Seed: 7, Amp: 0.6,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy validate: %d %s", resp.StatusCode, body)
-	}
-
-	// excite wins when both are present — a bogus amp must not break it.
-	resp, body = postJSON(t, ts.URL+"/v1/validate", ValidateRequest{
-		Model: "m", N: 2, Seed: 7, Amp: 0.1, Excite: 0.6, Horizon: 1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("excite-over-amp validate: %d %s", resp.StatusCode, body)
 	}
 }
 

@@ -73,30 +73,16 @@ func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
 // handlePredict is the serving hot path: batch evaluation of any subset of
 // responses at any number of points, natural or coded units. One basis
 // construction and one scratch row per response cover the whole batch
-// (core.SavedSurfaces.PredictBatch). Responses are memoized per
-// (model-version, body) fingerprint: predictions are pure functions of the
-// surfaces, so an identical question to an unchanged model replays the
-// stored bytes, and a hot-swap invalidates by changing the ETag.
+// (core.SavedSurfaces.PredictBatch).
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req PredictRequest
-	body, ok := s.decodeBody(w, r, &req)
+	if !s.decodeJSON(w, r, &req) {
+		return
+	}
+	ss, ok := s.model(w, req.Model)
 	if !ok {
 		return
 	}
-	ss, etag, ok := s.taggedModel(w, req.Model)
-	if !ok {
-		return
-	}
-	key := memoKey("predict", etag, body)
-	if s.memoServe(w, "predict", key) {
-		return
-	}
-	cw := newCaptureWriter(w)
-	s.predictCore(cw, req, ss)
-	s.memoStore(key, cw)
-}
-
-func (s *Server) predictCore(w http.ResponseWriter, req PredictRequest, ss *core.SavedSurfaces) {
 	points := req.Points
 	if req.Point != nil {
 		points = append([][]float64{req.Point}, points...)
@@ -150,28 +136,16 @@ func (s *Server) predictCore(w http.ResponseWriter, req PredictRequest, ss *core
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleSweep samples one response curve; like predict it is pure in the
-// surfaces, so responses are memoized under the model's ETag.
+// handleSweep samples one response curve over one factor's full range.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	body, ok := s.decodeBody(w, r, &req)
+	if !s.decodeJSON(w, r, &req) {
+		return
+	}
+	ss, ok := s.model(w, req.Model)
 	if !ok {
 		return
 	}
-	ss, etag, ok := s.taggedModel(w, req.Model)
-	if !ok {
-		return
-	}
-	key := memoKey("sweep", etag, body)
-	if s.memoServe(w, "sweep", key) {
-		return
-	}
-	cw := newCaptureWriter(w)
-	s.sweepCore(cw, req, ss)
-	s.memoStore(key, cw)
-}
-
-func (s *Server) sweepCore(w http.ResponseWriter, req SweepRequest, ss *core.SavedSurfaces) {
 	id := core.ResponseID(req.Response)
 	if _, ok := ss.Coef[id]; !ok {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "model has no response %q", req.Response)
@@ -292,22 +266,16 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "n %d outside 1..1000", req.N)
 		return
 	}
-	// Explicit problem spec (excite/horizon_s); Excite wins over the
-	// legacy amp, omitted fields keep the implicit defaults.
+	// Explicit problem spec (excite/horizon_s); omitted fields keep the
+	// defaults: excitation 0.6 and the model's own horizon.
 	if req.Excite < 0 || req.Horizon < 0 {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest,
 			"excite %g and horizon_s %g must be non-negative", req.Excite, req.Horizon)
 		return
 	}
-	amp := req.Excite
-	if amp == 0 {
-		amp = req.Amp
-		if amp > 0 && !s.deprecateAmp(w, r, "validate") {
-			return
-		}
-	}
-	if amp <= 0 {
-		amp = 0.6
+	excite := req.Excite
+	if excite == 0 {
+		excite = 0.6
 	}
 	horizon := req.Horizon
 	if horizon == 0 {
@@ -318,7 +286,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadField, "%v", err)
 		return
 	}
-	p := s.problem(amp, horizon)
+	p := s.problem(excite, horizon)
 	switch engine {
 	case EngineBatch:
 		p.EngineName = core.EngineBatch
@@ -412,9 +380,6 @@ const statusClientClosedRequest = 499
 func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	var req BuildRequest
 	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if req.Amp > 0 && req.Excite == 0 && !s.deprecateAmp(w, r, "build") {
 		return
 	}
 	job, err := s.jobs.Submit(r.Context(), req)

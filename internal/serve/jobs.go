@@ -62,7 +62,7 @@ func (j *Job) view() JobView {
 		State:      string(j.State),
 		Runs:       j.Runs,
 		Horizon:    j.Req.Horizon,
-		Amp:        j.Req.Amp,
+		Excite:     j.Req.Excite,
 		Seed:       j.Req.Seed,
 		Workers:    j.Req.Workers,
 		Pool:       j.Req.Pool,
@@ -96,7 +96,7 @@ func (j *Job) view() JobView {
 
 // ProblemFactory instantiates the design problem a build simulates;
 // cmd/ehdoed uses core.StandardProblem, tests substitute faster problems.
-type ProblemFactory func(amp, horizon float64) *core.Problem
+type ProblemFactory func(excite, horizon float64) *core.Problem
 
 // jobHistory is how many finished (done, failed or canceled) jobs a
 // JobManager keeps for Get and List. Once more have finished, the oldest
@@ -249,14 +249,10 @@ func (m *JobManager) Submit(ctx context.Context, req BuildRequest) (JobView, err
 	if req.Horizon == 0 {
 		req.Horizon = 60
 	}
-	// Excite is the explicit spelling of the excitation amplitude; it wins
-	// over the legacy Amp, and the resolved value lands in Amp so job
-	// snapshots always report what was simulated.
-	if req.Excite > 0 {
-		req.Amp = req.Excite
-	}
-	if req.Amp <= 0 {
-		req.Amp = 0.6
+	// The default excitation resolves up front, so job snapshots always
+	// report what was simulated.
+	if req.Excite == 0 {
+		req.Excite = 0.6
 	}
 	// Engine resolves to its explicit spelling up front, so job snapshots
 	// always report the engine that actually runs the build.
@@ -286,7 +282,7 @@ func (m *JobManager) Submit(ctx context.Context, req BuildRequest) (JobView, err
 	}
 	// Fail fast on an unknown design (or a problem too small for the
 	// adaptive loop) instead of at run time.
-	k := len(m.problem(req.Amp, req.Horizon).Factors)
+	k := len(m.problem(req.Excite, req.Horizon).Factors)
 	if req.Strategy == StrategyAdaptive {
 		if k < 2 {
 			return JobView{}, fmt.Errorf("serve: adaptive builds need ≥2 factors, the served problem has %d", k)
@@ -503,7 +499,7 @@ func (m *JobManager) run(j *Job) {
 		defer cancel()
 	}
 
-	p := m.problem(j.Req.Amp, j.Req.Horizon)
+	p := m.problem(j.Req.Excite, j.Req.Horizon)
 	// Engine selection: the batch engine is a scheduling strategy on top of
 	// the fast engine (bit-identical lanes), the reference engine swaps the
 	// simulator itself. Submit already resolved the default and rejected
@@ -535,7 +531,7 @@ func (m *JobManager) run(j *Job) {
 			return m.cluster.RunDesign(ctx, cluster.JobSpec{
 				ID:        j.ID + "-" + d.Name,
 				Trace:     j.Trace,
-				Excite:    j.Req.Amp,
+				Excite:    j.Req.Excite,
 				Horizon:   j.Req.Horizon,
 				Responses: p.Responses,
 			}, d)

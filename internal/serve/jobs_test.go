@@ -179,7 +179,7 @@ func TestSubmitDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Design != "ccf" || j.Amp != 0.6 {
+	if j.Design != "ccf" || j.Excite != 0.6 {
 		t.Fatalf("defaults not applied: %+v", j)
 	}
 	final := waitState(t, m, j.ID, JobDone)
@@ -223,7 +223,7 @@ func TestJobHistoryKeepsNewestFinished(t *testing.T) {
 		case 1:
 			amp = 0.8
 		}
-		j, err := m.Submit(context.Background(), BuildRequest{Model: "h", Design: "ccf", Horizon: 1, Amp: amp})
+		j, err := m.Submit(context.Background(), BuildRequest{Model: "h", Design: "ccf", Horizon: 1, Excite: amp})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -267,56 +267,9 @@ func TestBuildQueueRaceExactCapacity(t *testing.T) {
 	}
 }
 
-// TestPredictMemoHitByteIdentical: an identical predict against an
-// unchanged model is answered from the memo — counter-verified — and the
-// replayed bytes are identical to the computed response.
-func TestPredictMemoHitByteIdentical(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	srv.Registry().Set("memo", fixture(t))
-
-	req := PredictRequest{Model: "memo", Point: midpoint(fixture(t))}
-	resp1, body1 := postJSON(t, ts.URL+"/v1/predict", req)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("first predict: %d %s", resp1.StatusCode, body1)
-	}
-	if resp1.Header.Get("X-Memo") == "hit" {
-		t.Fatal("first predict cannot be a memo hit")
-	}
-	if h, m := srv.memoHits.With("predict").Value(), srv.memoMisses.With("predict").Value(); h != 0 || m != 1 {
-		t.Fatalf("after first predict: hits %d misses %d, want 0 and 1", h, m)
-	}
-
-	resp2, body2 := postJSON(t, ts.URL+"/v1/predict", req)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("second predict: %d %s", resp2.StatusCode, body2)
-	}
-	if resp2.Header.Get("X-Memo") != "hit" {
-		t.Fatal("identical predict against unchanged model must hit the memo")
-	}
-	if string(body1) != string(body2) {
-		t.Fatalf("memo replay not byte-identical:\nfirst  %s\nsecond %s", body1, body2)
-	}
-	if h := srv.memoHits.With("predict").Value(); h != 1 {
-		t.Fatalf("memo hits %d, want 1", h)
-	}
-
-	// Sweeps memoize the same way.
-	ss, _ := srv.Registry().Get("memo")
-	sreq := SweepRequest{Model: "memo", Response: string(ss.Responses()[0]), Factor: ss.Factors[0].Name}
-	sresp1, sbody1 := postJSON(t, ts.URL+"/v1/sweep", sreq)
-	if sresp1.StatusCode != http.StatusOK {
-		t.Fatalf("first sweep: %d %s", sresp1.StatusCode, sbody1)
-	}
-	sresp2, sbody2 := postJSON(t, ts.URL+"/v1/sweep", sreq)
-	if sresp2.Header.Get("X-Memo") != "hit" || string(sbody1) != string(sbody2) {
-		t.Fatalf("sweep memo: hit=%q identical=%v", sresp2.Header.Get("X-Memo"), string(sbody1) == string(sbody2))
-	}
-}
-
-// TestMemoInvalidatedOnHotSwap is the staleness regression: hot-swapping a
-// model must atomically invalidate its memoized responses. A predict after
-// the swap must reflect the new surfaces, never the old model's cache.
-func TestMemoInvalidatedOnHotSwap(t *testing.T) {
+// TestPredictAfterHotSwap is the staleness regression: a predict after a
+// model is hot-swapped must reflect the new surfaces, never the old ones.
+func TestPredictAfterHotSwap(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	srv.Registry().Set("swap", fixture(t))
 
@@ -324,10 +277,6 @@ func TestMemoInvalidatedOnHotSwap(t *testing.T) {
 	resp1, body1 := postJSON(t, ts.URL+"/v1/predict", req)
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("pre-swap predict: %d %s", resp1.StatusCode, body1)
-	}
-	// Warm the memo so the swap has something to invalidate.
-	if resp2, _ := postJSON(t, ts.URL+"/v1/predict", req); resp2.Header.Get("X-Memo") != "hit" {
-		t.Fatal("memo never warmed before the swap")
 	}
 
 	// Build a genuinely different model: same shape, every coefficient
@@ -360,9 +309,6 @@ func TestMemoInvalidatedOnHotSwap(t *testing.T) {
 	resp3, body3 := postJSON(t, ts.URL+"/v1/predict", req)
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("post-swap predict: %d %s", resp3.StatusCode, body3)
-	}
-	if resp3.Header.Get("X-Memo") == "hit" {
-		t.Fatal("post-swap predict served a stale memoized response")
 	}
 	if string(body3) == string(body1) {
 		t.Fatal("post-swap predict returned the old model's values")
@@ -400,7 +346,7 @@ func TestHealthzReportsQueueDepth(t *testing.T) {
 }
 
 // TestAdmissionDisabled: Load.Disable turns the limiters off — no 429s no
-// matter the concurrency — while the memo keeps working.
+// matter the concurrency.
 func TestAdmissionDisabled(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		Load: LoadConfig{

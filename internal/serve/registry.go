@@ -19,53 +19,34 @@ import (
 // delete, finished builds) copy the map under a mutex and swap the
 // pointer. In-flight requests keep the version they started with; new
 // requests see the new one: hot-reload without a stall.
-//
-// Every mutation stamps the touched model with a fresh ETag drawn from a
-// monotonic version counter. The response memo keys on that ETag, so a
-// hot-swap atomically invalidates every memoized response of the old
-// model: the new tag never matches the old keys, which age out of the
-// LRU. A deleted-then-reuploaded model gets a new tag too.
 type Registry struct {
 	mu   sync.Mutex // serializes writers; readers never take it
 	snap atomic.Pointer[registrySnap]
-	ver  atomic.Uint64
 }
 
 type registrySnap struct {
-	models map[string]registryEntry
-}
-
-type registryEntry struct {
-	ss   *core.SavedSurfaces
-	etag string
+	models map[string]*core.SavedSurfaces
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	r := &Registry{}
-	r.snap.Store(&registrySnap{models: map[string]registryEntry{}})
+	r.snap.Store(&registrySnap{models: map[string]*core.SavedSurfaces{}})
 	return r
 }
 
 // Get fetches a model by name. Lock-free.
 func (r *Registry) Get(name string) (*core.SavedSurfaces, bool) {
-	e, ok := r.snap.Load().models[name]
-	return e.ss, ok
-}
-
-// GetTagged fetches a model and its current ETag — the memo key
-// ingredient that changes on every swap. Lock-free.
-func (r *Registry) GetTagged(name string) (*core.SavedSurfaces, string, bool) {
-	e, ok := r.snap.Load().models[name]
-	return e.ss, e.etag, ok
+	ss, ok := r.snap.Load().models[name]
+	return ss, ok
 }
 
 // mutate applies fn to a private copy of the model map and publishes it.
-func (r *Registry) mutate(fn func(models map[string]registryEntry)) {
+func (r *Registry) mutate(fn func(models map[string]*core.SavedSurfaces)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old := r.snap.Load().models
-	next := make(map[string]registryEntry, len(old)+1)
+	next := make(map[string]*core.SavedSurfaces, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
@@ -73,19 +54,18 @@ func (r *Registry) mutate(fn func(models map[string]registryEntry)) {
 	r.snap.Store(&registrySnap{models: next})
 }
 
-// Set registers (or atomically replaces) a model under a fresh ETag. The
-// surfaces must not be mutated after registration.
+// Set registers (or atomically replaces) a model. The surfaces must not
+// be mutated after registration.
 func (r *Registry) Set(name string, ss *core.SavedSurfaces) {
-	etag := fmt.Sprintf("%s@%d", name, r.ver.Add(1))
-	r.mutate(func(models map[string]registryEntry) {
-		models[name] = registryEntry{ss: ss, etag: etag}
+	r.mutate(func(models map[string]*core.SavedSurfaces) {
+		models[name] = ss
 	})
 }
 
 // Delete removes a model, reporting whether it existed.
 func (r *Registry) Delete(name string) bool {
 	var existed bool
-	r.mutate(func(models map[string]registryEntry) {
+	r.mutate(func(models map[string]*core.SavedSurfaces) {
 		_, existed = models[name]
 		delete(models, name)
 	})

@@ -48,16 +48,12 @@ type Config struct {
 	// JobTimeout bounds each build job: the default when a request sets no
 	// timeout_s, and the cap when it does. <=0 means unbounded.
 	JobTimeout time.Duration
-	// StrictAPI rejects deprecated request fields (the legacy "amp" alias)
-	// with code bad_field instead of honouring them — the final stage of a
-	// field migration before the alias is removed.
-	StrictAPI bool
 	// Cluster tunes the worker-fleet coordinator (heartbeat and lease
 	// timeouts, lease sizing, retry budgets). The zero value uses the
 	// cluster package defaults; the coordinator is always mounted.
 	Cluster cluster.Config
-	// Load tunes admission control and the response memo; the zero value
-	// enables both with the defaults documented on LoadConfig.
+	// Load tunes admission control; the zero value enables it with the
+	// defaults documented on LoadConfig.
 	Load LoadConfig
 }
 
@@ -65,35 +61,30 @@ type Config struct {
 // http.Handler. All metrics live in one obs.Registry; /metrics renders it
 // and nothing else.
 type Server struct {
-	registry  *Registry
-	jobs      *JobManager
-	coord     *cluster.Coordinator
-	problem   ProblemFactory
-	cache     *simcache.Cache
-	maxBody   int64
-	mux       *http.ServeMux
-	started   time.Time
-	log       *slog.Logger
-	draining  atomic.Bool
-	strictAPI bool
+	registry *Registry
+	jobs     *JobManager
+	coord    *cluster.Coordinator
+	problem  ProblemFactory
+	cache    *simcache.Cache
+	maxBody  int64
+	mux      *http.ServeMux
+	started  time.Time
+	log      *slog.Logger
+	draining atomic.Bool
 
-	reg        *obs.Registry
-	reqs       *obs.CounterVec
-	errs       *obs.CounterVec
-	latency    *obs.HistogramVec
-	deprecated *obs.CounterVec
-	faults     *obs.FaultStats
+	reg     *obs.Registry
+	reqs    *obs.CounterVec
+	errs    *obs.CounterVec
+	latency *obs.HistogramVec
+	faults  *obs.FaultStats
 
-	// Overload protection: per-endpoint admission limiters plus the
-	// model-versioned response memo, with their instruments.
+	// Overload protection: per-endpoint admission limiters and their
+	// instruments.
 	loadCfg       LoadConfig
 	limits        map[string]*load.Limiter
-	memo          *load.Memo
 	admitted      *obs.CounterVec
 	shed          *obs.CounterVec
 	admissionWait *obs.HistogramVec
-	memoHits      *obs.CounterVec
-	memoMisses    *obs.CounterVec
 }
 
 // New builds a server, loading any models found in cfg.ModelsDir.
@@ -108,8 +99,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Route every problem the factory makes through the server's cache,
 	// unless the factory wired its own runner.
-	cached := func(amp, horizon float64) *core.Problem {
-		p := problem(amp, horizon)
+	cached := func(excite, horizon float64) *core.Problem {
+		p := problem(excite, horizon)
 		if p.Runner == nil {
 			p.Runner = cache
 		}
@@ -124,17 +115,16 @@ func New(cfg Config) (*Server, error) {
 		logger = obs.Nop()
 	}
 	s := &Server{
-		registry:  NewRegistry(),
-		problem:   cached,
-		cache:     cache,
-		maxBody:   maxBody,
-		mux:       http.NewServeMux(),
-		started:   time.Now(),
-		log:       logger,
-		strictAPI: cfg.StrictAPI,
-		reg:       obs.NewRegistry(),
-		faults:    &obs.FaultStats{},
-		loadCfg:   cfg.Load.withDefaults(),
+		registry: NewRegistry(),
+		problem:  cached,
+		cache:    cache,
+		maxBody:  maxBody,
+		mux:      http.NewServeMux(),
+		started:  time.Now(),
+		log:      logger,
+		reg:      obs.NewRegistry(),
+		faults:   &obs.FaultStats{},
+		loadCfg:  cfg.Load.withDefaults(),
 	}
 	s.initAdmission(s.loadCfg)
 	s.reg.GaugeFunc("ehdoed_uptime_seconds", "Seconds since the server started.", func() float64 {
@@ -143,7 +133,6 @@ func New(cfg Config) (*Server, error) {
 	s.reqs = s.reg.CounterVec("ehdoed_requests_total", "Requests served, by endpoint.", "endpoint")
 	s.errs = s.reg.CounterVec("ehdoed_request_errors_total", "Requests answered with status >= 400, by endpoint.", "endpoint")
 	s.latency = s.reg.HistogramVec("ehdoed_request_latency_seconds", "Request latency, by endpoint.", "endpoint", latencyBuckets)
-	s.deprecated = s.reg.CounterVec("ehdoed_deprecated_field_total", "Requests using a deprecated request field, by field.", "field")
 	s.reg.CounterFunc("ehdoed_run_retries_total",
 		"Design-run attempts retried after transient simulation faults.",
 		func() float64 { return float64(s.faults.Retries.Value()) })
@@ -326,26 +315,11 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 // Unknown fields are rejected (code bad_field) so typos fail loudly
 // instead of silently defaulting; trailing garbage is rejected too.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	_, ok := s.decodeBody(w, r, v)
-	return ok
-}
-
-// decodeBody is decodeJSON plus the raw bytes, for handlers that
-// fingerprint the request (the response memo keys on the exact body).
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
 	body, err := readAll(w, r, s.maxBody)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "reading body: %v", err)
-		return nil, false
+		return false
 	}
-	if !decodeBytes(w, body, v) {
-		return nil, false
-	}
-	return body, true
-}
-
-// decodeBytes applies the strict decode rules to an already-read body.
-func decodeBytes(w http.ResponseWriter, body []byte, v any) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -369,46 +343,16 @@ func readAll(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error
 	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 }
 
-// model fetches the named model or answers 404.
+// model fetches the named model or answers 400/404.
 func (s *Server) model(w http.ResponseWriter, name string) (*core.SavedSurfaces, bool) {
-	ss, _, ok := s.taggedModel(w, name)
-	return ss, ok
-}
-
-// taggedModel fetches the named model plus its registry ETag (the memo
-// key ingredient), or answers 400/404.
-func (s *Server) taggedModel(w http.ResponseWriter, name string) (*core.SavedSurfaces, string, bool) {
 	if name == "" {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "missing model name")
-		return nil, "", false
+		return nil, false
 	}
-	ss, etag, ok := s.registry.GetTagged(name)
+	ss, ok := s.registry.Get(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, codeNotFound, "unknown model %q", name)
-		return nil, "", false
+		return nil, false
 	}
-	return ss, etag, true
-}
-
-// deprecateAmp handles a request that used the legacy "amp" field. The
-// migration has three stages, all observable before anything breaks:
-// Deprecation + Sunset headers and a structured warning tell clients and
-// operators, the ehdoed_deprecated_field_total{field="amp"} counter makes
-// remaining callers measurable, and strict mode (-strict-api) rejects the
-// alias with code bad_field. Returns false when the request was rejected;
-// the handler must stop.
-func (s *Server) deprecateAmp(w http.ResponseWriter, r *http.Request, endpoint string) bool {
-	s.deprecated.With("amp").Inc()
-	if s.strictAPI {
-		obs.FromContext(r.Context()).Warn("deprecated field rejected",
-			"field", "amp", "use", "excite", "endpoint", endpoint)
-		writeError(w, http.StatusBadRequest, codeBadField,
-			`field "amp" is retired; use "excite"`)
-		return false
-	}
-	w.Header().Set("Deprecation", `@1767225600`) // deprecated since 2026-01-01 (RFC 9745)
-	w.Header().Set("Sunset", "Wed, 01 Jul 2026 00:00:00 GMT")
-	obs.FromContext(r.Context()).Warn("deprecated field used",
-		"field", "amp", "use", "excite", "endpoint", endpoint)
-	return true
+	return ss, true
 }

@@ -72,14 +72,12 @@ func (s *Server) endpoints() []endpointSpec {
 }
 
 // FieldSpec describes one JSON field of a request or response schema.
-// Deprecated fields still work but are scheduled for removal; the spec is
-// generated from the structs' json/spec tags, never hand-maintained.
+// The spec is generated from the structs' json tags, never hand-maintained.
 type FieldSpec struct {
-	Name       string      `json:"name"`
-	Type       string      `json:"type"`
-	Optional   bool        `json:"optional,omitempty"`
-	Deprecated bool        `json:"deprecated,omitempty"`
-	Fields     []FieldSpec `json:"fields,omitempty"` // populated when Type is object
+	Name     string      `json:"name"`
+	Type     string      `json:"type"`
+	Optional bool        `json:"optional,omitempty"`
+	Fields   []FieldSpec `json:"fields,omitempty"` // populated when Type is object
 }
 
 // SchemaView is the JSON schema of one message body.
@@ -114,7 +112,7 @@ type SpecResponse struct {
 
 var errorCodeDocs = []ErrorCodeView{
 	{codeInvalidRequest, "malformed body or invalid field values"},
-	{codeBadField, "request body carries a field the endpoint does not define, or a retired field under strict mode"},
+	{codeBadField, "request body carries a field the endpoint does not define"},
 	{codeProtoMismatch, "cluster protocol request speaks a different proto_version than this server"},
 	{codeNotFound, "unknown model or job"},
 	{codeConflict, "request is inconsistent with server state"},
@@ -185,8 +183,7 @@ func typeSpec(t reflect.Type, depth int) (string, []FieldSpec) {
 }
 
 // structFields walks the exported fields in declaration order, honouring
-// json tags (name, "-" skips, inlined embeds) and the spec:"deprecated"
-// marker.
+// json tags (name, "-" skips, inlined embeds).
 func structFields(t reflect.Type, depth int) []FieldSpec {
 	var out []FieldSpec
 	for i := 0; i < t.NumField(); i++ {
@@ -210,11 +207,10 @@ func structFields(t reflect.Type, depth int) []FieldSpec {
 		}
 		typ, fields := typeSpec(f.Type, depth+1)
 		out = append(out, FieldSpec{
-			Name:       name,
-			Type:       typ,
-			Optional:   strings.Contains(","+opts+",", ",omitempty,"),
-			Deprecated: f.Tag.Get("spec") == "deprecated",
-			Fields:     fields,
+			Name:     name,
+			Type:     typ,
+			Optional: strings.Contains(","+opts+",", ",omitempty,"),
+			Fields:   fields,
 		})
 	}
 	return out

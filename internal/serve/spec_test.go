@@ -33,8 +33,8 @@ func TestSpecCoversEveryEndpoint(t *testing.T) {
 		}
 	}
 
-	// The build request schema is reflected, not hand-written: excite is a
-	// plain number, amp carries the deprecated marker.
+	// The build request schema is reflected, not hand-written: excite is an
+	// optional number, and the retired amp alias is gone.
 	build, ok := listed["POST /v1/build"]
 	if !ok || build.Request == nil {
 		t.Fatal("spec has no POST /v1/build request schema")
@@ -43,11 +43,11 @@ func TestSpecCoversEveryEndpoint(t *testing.T) {
 	for _, f := range build.Request.Fields {
 		fields[f.Name] = f
 	}
-	if f := fields["excite"]; f.Type != "number" || f.Deprecated {
+	if f := fields["excite"]; f.Type != "number" || !f.Optional {
 		t.Fatalf("excite field spec wrong: %+v", f)
 	}
-	if f := fields["amp"]; !f.Deprecated {
-		t.Fatalf("amp field not marked deprecated: %+v", f)
+	if f, ok := fields["amp"]; ok {
+		t.Fatalf("retired amp field still in the spec: %+v", f)
 	}
 
 	// The error vocabulary includes the unknown-field code, and the
@@ -86,74 +86,20 @@ func TestUnknownFieldRejected(t *testing.T) {
 	}
 }
 
-// TestAmpAliasDeprecationHeader: requests resolved through the legacy amp
-// field get Deprecation + Sunset response headers and bump the labelled
-// deprecated-field counter; the stable excite spelling does neither.
-func TestAmpAliasDeprecationHeader(t *testing.T) {
-	release := make(chan struct{})
-	quit := make(chan struct{})
-	defer close(quit)
-	close(release)
-	_, ts := newTestServer(t, Config{Problem: blockingProblem(release, quit)})
-
-	resp, body := postJSON(t, ts.URL+"/v1/build", BuildRequest{Model: "a", Horizon: 1, Amp: 0.5})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy build status %d: %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Fatal("legacy amp build carries no Deprecation header")
-	}
-	if resp.Header.Get("Sunset") == "" {
-		t.Fatal("legacy amp build carries no Sunset header")
-	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/build", BuildRequest{Model: "b", Horizon: 1, Excite: 0.5})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("excite build status %d: %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Sunset") != "" {
-		t.Fatal("stable excite build must not carry deprecation headers")
-	}
-
-	// Exactly the one legacy request was counted, labelled by field.
-	_, body = get(t, ts.URL+"/metrics")
-	if want := `ehdoed_deprecated_field_total{field="amp"} 1`; !strings.Contains(string(body), want) {
-		t.Fatalf("/metrics misses %q", want)
-	}
-}
-
-// TestStrictAPIRejectsAmp: with -strict-api the legacy alias is no longer
-// resolved — build and validate answer 400 with the typed bad_field code,
-// while the stable spelling is untouched.
-func TestStrictAPIRejectsAmp(t *testing.T) {
-	release := make(chan struct{})
-	quit := make(chan struct{})
-	defer close(quit)
-	close(release)
-	srv, ts := newTestServer(t, Config{Problem: blockingProblem(release, quit), StrictAPI: true})
+// TestAmpFieldRejected: the retired "amp" alias is an unknown field like
+// any other, so build and validate answer 400 bad_field naming it.
+func TestAmpFieldRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
 	srv.Registry().Set("m", fixture(t))
-
-	resp, body := postJSON(t, ts.URL+"/v1/build", BuildRequest{Model: "a", Horizon: 1, Amp: 0.5})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("strict legacy build status %d: %s, want 400", resp.StatusCode, body)
-	}
-	var e errorBody
-	unmarshal(t, body, &e)
-	if e.Code != codeBadField || !strings.Contains(e.Error, "amp") {
-		t.Fatalf("strict legacy build error %+v, want code %q naming the field", e, codeBadField)
-	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/validate", ValidateRequest{Model: "m", N: 2, Amp: 0.5})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("strict legacy validate status %d: %s, want 400", resp.StatusCode, body)
-	}
-	unmarshal(t, body, &e)
-	if e.Code != codeBadField {
-		t.Fatalf("strict legacy validate code %q, want %q", e.Code, codeBadField)
-	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/build", BuildRequest{Model: "b", Horizon: 1, Excite: 0.5})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("strict excite build status %d: %s, want 202", resp.StatusCode, body)
+	for _, path := range []string{"/v1/build", "/v1/validate"} {
+		resp, body := postJSON(t, ts.URL+path, map[string]any{"model": "m", "amp": 0.5})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s with amp: status %d: %s, want 400", path, resp.StatusCode, body)
+		}
+		var e errorBody
+		unmarshal(t, body, &e)
+		if e.Code != codeBadField || !strings.Contains(e.Error, "amp") {
+			t.Fatalf("%s with amp: error %+v, want code %q naming the field", path, e, codeBadField)
+		}
 	}
 }
