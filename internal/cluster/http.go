@@ -3,8 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
 	"sync"
 
@@ -67,14 +66,14 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// decodeBody strictly decodes a protocol request: unknown fields are
-// rejected so a newer client's message never silently loses meaning on an
-// older server.
+// decodeBody decodes a protocol request under apiclient.DecodeRequest, the
+// decode rule serve's mount of the same protocol applies, and answers a
+// rejected body with the same status and code.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid_request", fmt.Errorf("malformed JSON body: %w", err))
+	if err := apiclient.DecodeRequest(http.MaxBytesReader(w, r.Body, 8<<20), v); err != nil {
+		var de *apiclient.DecodeError
+		errors.As(err, &de)
+		httpError(w, http.StatusBadRequest, de.Code, err)
 		return false
 	}
 	return true

@@ -145,8 +145,8 @@ func TestCheckProto(t *testing.T) {
 
 // TestHTTPProtoAndFieldGates drives the wire-level contract on the plain
 // coordinator handler: a wrong proto_version answers 400/proto_mismatch
-// before any state changes, and an unknown field answers 400 under strict
-// decoding. A well-formed v2 register succeeds.
+// before any state changes, and an unknown field answers 400 bad_field
+// under strict decoding. A well-formed v2 register succeeds.
 func TestHTTPProtoAndFieldGates(t *testing.T) {
 	c := NewCoordinator(fastConfig())
 	defer c.Shutdown()
@@ -174,8 +174,8 @@ func TestHTTPProtoAndFieldGates(t *testing.T) {
 	}
 
 	status, env = post(`{"proto_version":2,"worker":"typo","sharld_count":64}`)
-	if status != http.StatusBadRequest || env["code"] != "invalid_request" {
-		t.Fatalf("unknown field: %d %v, want 400 invalid_request", status, env)
+	if status != http.StatusBadRequest || env["code"] != "bad_field" {
+		t.Fatalf("unknown field: %d %v, want 400 bad_field", status, env)
 	}
 
 	status, _ = post(`{"proto_version":2,"worker":"good"}`)

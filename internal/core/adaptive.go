@@ -233,12 +233,7 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 			if cum.Batch == nil {
 				cum.Batch = &BatchStats{}
 			}
-			cum.Batch.Points += ds.Batch.Points
-			cum.Batch.Peeled += ds.Batch.Peeled
-			cum.Batch.Lanes += ds.Batch.Lanes
-			cum.Batch.Chunks += ds.Batch.Chunks
-			cum.Batch.Rebuilds += ds.Batch.Rebuilds
-			cum.Batch.AmortizedRebuilds += ds.Batch.AmortizedRebuilds
+			cum.Batch.add(ds.Batch)
 		}
 		if ds.Y == nil {
 			return nil

@@ -176,7 +176,7 @@ func (p *Problem) engineName() string {
 // (internal/obs) down into the runner. Results may be served from the
 // cache and must be treated as immutable by callers.
 func (p *Problem) runSim(ctx context.Context, d sim.Design, cfg sim.Config) (*sim.Result, error) {
-	name := cacheEngineName(p.engineName())
+	name := p.engineName()
 	if name == "" {
 		return p.engine()(d, cfg)
 	}
@@ -187,20 +187,29 @@ func (p *Problem) runSim(ctx context.Context, d sim.Design, cfg sim.Config) (*si
 	return r.Run(ctx, name, p.engine(), d, cfg)
 }
 
+// request resolves a coded point to its concrete simulation request: the
+// decoded factors through Build, under the problem's horizon and step.
+func (p *Problem) request(coded []float64) (sim.Design, sim.Config, error) {
+	natural, err := doe.DecodeRun(p.Factors, coded)
+	if err != nil {
+		return sim.Design{}, sim.Config{}, err
+	}
+	sc, err := p.Build(natural)
+	if err != nil {
+		return sim.Design{}, sim.Config{}, err
+	}
+	return sc.Design, sim.Config{Horizon: p.Horizon, DtSlow: p.DtSlow, Source: sc.Source}, nil
+}
+
 // SimulateCoded runs one simulation at a coded design point and returns
 // the raw result. ctx carries the caller's cancellation and trace down to
 // the runner.
 func (p *Problem) SimulateCoded(ctx context.Context, coded []float64) (*sim.Result, error) {
-	natural, err := doe.DecodeRun(p.Factors, coded)
+	d, cfg, err := p.request(coded)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := p.Build(natural)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.Config{Horizon: p.Horizon, DtSlow: p.DtSlow, Source: sc.Source}
-	return p.runSim(ctx, sc.Design, cfg)
+	return p.runSim(ctx, d, cfg)
 }
 
 // ResponsesAt runs one simulation at a coded point and extracts every
@@ -214,6 +223,12 @@ func (p *Problem) ResponsesAt(ctx context.Context, coded []float64) (map[Respons
 	if err != nil {
 		return nil, err
 	}
+	return p.responses(r)
+}
+
+// responses extracts every problem response from a result, rejecting a
+// non-finite value with a *NumericError.
+func (p *Problem) responses(r *sim.Result) (map[ResponseID]float64, error) {
 	out := make(map[ResponseID]float64, len(p.Responses))
 	for _, id := range p.Responses {
 		v, err := Extract(id, r, p.Horizon)
@@ -235,8 +250,9 @@ type Dataset struct {
 	// SimTime is the simulator wall-clock time, start to finish; an
 	// adaptive build's is the sum over its rounds.
 	SimTime time.Duration
-	// SimWork is the sum of the individual run durations. With a serial
-	// runner it equals SimTime; with a worker pool the ratio
+	// SimWork is the sum of the individual run durations — under the
+	// lockstep executor, of its run resolution and chunk durations. With
+	// a serial runner it equals SimTime; with a worker pool the ratio
 	// SimWork/SimTime is the achieved parallel speedup.
 	SimWork time.Duration
 	// Retries and PanicsRecovered count the fault-recovery events the
@@ -244,8 +260,8 @@ type Dataset struct {
 	// failures, and engine panics recovered into errors.
 	Retries         int
 	PanicsRecovered int
-	// Batch carries the batch scheduler's statistics when the run used
-	// EngineBatch; nil otherwise.
+	// Batch carries the lockstep executor's statistics when the runs went
+	// through it (see Problem.RunDesign); nil on the per-point path.
 	Batch *BatchStats
 }
 

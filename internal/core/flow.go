@@ -31,7 +31,7 @@ type BuildSpec struct {
 	// Workers is the local pool's simulation parallelism (≤0 = GOMAXPROCS).
 	Workers int
 	// Run simulates one round's design. nil means the local pool
-	// (Problem.RunDesign with Workers), which also runs the batch engine;
+	// (Problem.RunDesign with Workers), with its lockstep executor;
 	// the cluster coordinator plugs in here. Either way each run gets the
 	// problem's retries, deadlines, cache and cancellation.
 	Run func(ctx context.Context, d *doe.Design) (*Dataset, error)
@@ -95,6 +95,13 @@ func Build(ctx context.Context, spec BuildSpec) (*BuildResult, error) {
 // cancel-on-shutdown. Workers never start a run after the abort signal;
 // runs already in flight finish (the simulator itself is not preemptible)
 // and are discarded.
+//
+// On the default fast engine behind a runner with a cache tier (the
+// simulation cache), the runs go through the lockstep executor (see
+// runLockstep): points sharing an excitation are stepped together by
+// sim.RunBatch, bit-identical to one sim.RunFast each, and the Dataset
+// carries its BatchStats. Any other engine or runner takes the per-point
+// path, where each run passes through the runner on its own.
 func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*Dataset, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -117,87 +124,23 @@ func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*D
 	lg := obs.FromContext(ctx)
 	lg.Info("design run started", "design", d.Name, "runs", d.N(), "workers", workers)
 	start := time.Now()
-	// Batch scheduler: under EngineBatch, a lockstep prepass simulates the
-	// design's unique uncached points K lanes at a time (bit-identical to
-	// the fast engine — see sim.RunBatch) and the per-point loop below then
-	// drains from the warmed results. Points the prepass could not settle
-	// fall through to the runner with unchanged retry/timeout/cancellation
-	// semantics, so the batch engine only changes where the work happens.
-	runp := p
-	var batch *BatchStats
-	if p.engineName() == EngineBatch {
-		runp, batch = p.PrewarmBatch(ctx, d.Runs, workers)
-	}
-	// next hands out run indices; abort stops the handout early. Results
-	// land in a pre-sized slice (one slot per run, no index collisions),
-	// so the only shared state needing a lock is the error and the
-	// work-time counter.
-	var (
-		next    atomic.Int64
-		work    atomic.Int64 // summed run durations, ns
-		retries atomic.Int64 // attempts retried after transient faults
-		panics  atomic.Int64 // panics recovered into errors
-		abort   = make(chan struct{})
-		once    sync.Once
-		mu      sync.Mutex
-		first   error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if first == nil {
-			first = err
-		}
-		mu.Unlock()
-		once.Do(func() { close(abort) })
-	}
-	stop := context.AfterFunc(ctx, func() {
-		fail(fmt.Errorf("core: design run aborted: %w", context.Cause(ctx)))
-	})
+	r := &designRun{p: p, ctx: ctx, d: d, rows: make([]map[ResponseID]float64, d.N()), abort: make(chan struct{})}
+	stop := context.AfterFunc(ctx, r.cancelled)
 	defer stop()
 
-	rows := make([]map[ResponseID]float64, d.N())
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-abort:
-					return
-				default:
-				}
-				// The abort channel closes asynchronously (AfterFunc); check
-				// the context directly too, so cancellation stops the handout
-				// even when runs are answered instantly from the sim cache.
-				if ctx.Err() != nil {
-					fail(fmt.Errorf("core: design run aborted: %w", context.Cause(ctx)))
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= d.N() {
-					return
-				}
-				runStart := time.Now()
-				resp, st, err := runp.runWithRetry(ctx, i, d.Runs[i])
-				runDur := time.Since(runStart)
-				work.Add(int64(runDur))
-				retries.Add(int64(st.retries))
-				panics.Add(int64(st.panics))
-				if err != nil {
-					lg.Warn("sim run failed", "run", i, "attempts", st.attempts, "err", err.Error())
-					fail(wrapRunErr(i, st, err))
-					return
-				}
-				lg.Debug("sim run", "run", i, "sim_ms", float64(runDur.Microseconds())/1e3)
-				rows[i] = resp
-			}
-		}()
+	var batch *BatchStats
+	if tier := p.lockstepTier(); tier != nil {
+		batch = r.runLockstep(workers, tier)
+	} else {
+		all := make([]int, d.N())
+		for i := range all {
+			all[i] = i
+		}
+		r.runPoints(workers, all)
 	}
-	wg.Wait()
-	mu.Lock()
-	err := first
-	mu.Unlock()
+	r.mu.Lock()
+	err := r.first
+	r.mu.Unlock()
 	if err != nil {
 		lg.Warn("design run aborted", "design", d.Name, "err", err.Error())
 		// Return a Y-less Dataset carrying the timing and fault-recovery
@@ -206,30 +149,135 @@ func (p *Problem) RunDesign(ctx context.Context, d *doe.Design, workers int) (*D
 		return &Dataset{
 			Design:          d,
 			SimTime:         time.Since(start),
-			SimWork:         time.Duration(work.Load()),
-			Retries:         int(retries.Load()),
-			PanicsRecovered: int(panics.Load()),
+			SimWork:         time.Duration(r.work.Load()),
+			Retries:         int(r.retries.Load()),
+			PanicsRecovered: int(r.panics.Load()),
 			Batch:           batch,
 		}, err
 	}
 	ds := &Dataset{Design: d, Y: make(map[ResponseID][]float64, len(p.Responses))}
 	for _, id := range p.Responses {
 		col := make([]float64, d.N())
-		for i, row := range rows {
+		for i, row := range r.rows {
 			col[i] = row[id]
 		}
 		ds.Y[id] = col
 	}
 	ds.SimTime = time.Since(start)
-	ds.SimWork = time.Duration(work.Load())
-	ds.Retries = int(retries.Load())
-	ds.PanicsRecovered = int(panics.Load())
+	ds.SimWork = time.Duration(r.work.Load())
+	ds.Retries = int(r.retries.Load())
+	ds.PanicsRecovered = int(r.panics.Load())
 	ds.Batch = batch
 	lg.Info("design run finished", "design", d.Name, "runs", d.N(),
 		"sim_ms", float64(ds.SimTime.Microseconds())/1e3,
 		"work_ms", float64(ds.SimWork.Microseconds())/1e3,
 		"speedup", ds.Speedup())
 	return ds, nil
+}
+
+// designRun is the shared state of one RunDesign call. Results land in a
+// pre-sized slice (one slot per run, no index collisions), so the only
+// state needing a lock is the first error.
+type designRun struct {
+	p    *Problem
+	ctx  context.Context
+	d    *doe.Design
+	rows []map[ResponseID]float64
+
+	work    atomic.Int64 // summed run (or chunk) durations, ns
+	retries atomic.Int64 // attempts retried after transient faults
+	panics  atomic.Int64 // panics recovered into errors
+
+	abort chan struct{} // closed on the first error or cancellation
+	once  sync.Once
+	mu    sync.Mutex
+	first error
+}
+
+// fail records the run's first error and signals the abort.
+func (r *designRun) fail(err error) {
+	r.mu.Lock()
+	if r.first == nil {
+		r.first = err
+	}
+	r.mu.Unlock()
+	r.once.Do(func() { close(r.abort) })
+}
+
+func (r *designRun) cancelled() {
+	r.fail(fmt.Errorf("core: design run aborted: %w", context.Cause(r.ctx)))
+}
+
+func (r *designRun) failed() bool {
+	select {
+	case <-r.abort:
+		return true
+	default:
+		return false
+	}
+}
+
+// aborted reports whether no new run may start. The abort channel closes
+// asynchronously on cancellation (AfterFunc), so the context is checked
+// directly too: cancellation stops the handout even when runs are answered
+// instantly from the cache.
+func (r *designRun) aborted() bool {
+	if r.failed() {
+		return true
+	}
+	if r.ctx.Err() != nil {
+		r.cancelled()
+		return true
+	}
+	return false
+}
+
+// each hands out the indices 0..n-1 to a pool of up to workers goroutines
+// and waits for them. No index is handed out after the run aborts.
+func (r *designRun) each(workers, n int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !r.aborted() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// runPoints is the per-point path: each of the given runs goes through the
+// runner on its own under the problem's retry policy and per-run deadline.
+func (r *designRun) runPoints(workers int, runs []int) {
+	lg := obs.FromContext(r.ctx)
+	r.each(workers, len(runs), func(n int) {
+		i := runs[n]
+		runStart := time.Now()
+		resp, st, err := r.p.runWithRetry(r.ctx, i, r.d.Runs[i])
+		runDur := time.Since(runStart)
+		r.work.Add(int64(runDur))
+		r.retries.Add(int64(st.retries))
+		r.panics.Add(int64(st.panics))
+		if err != nil {
+			lg.Warn("sim run failed", "run", i, "attempts", st.attempts, "err", err.Error())
+			r.fail(wrapRunErr(i, st, err))
+			return
+		}
+		lg.Debug("sim run", "run", i, "sim_ms", float64(runDur.Microseconds())/1e3)
+		r.rows[i] = resp
+	})
 }
 
 // Subregion returns a refined copy of the problem whose factor ranges are

@@ -77,9 +77,9 @@ type GenReport struct {
 	// Latency summarizes served-request latency; ShedLatency the time
 	// wasted on shed ones (it should be near zero — shedding that queues
 	// first defeats the point).
-	Latency     Quantiles    `json:"latency_ms"`
-	ShedLatency Quantiles    `json:"shed_latency_ms"`
-	Hist        []HistBucket `json:"hist,omitempty"`
+	Latency     Quantiles      `json:"latency_ms"`
+	ShedLatency Quantiles      `json:"shed_latency_ms"`
+	Hist        []HistBucket   `json:"hist,omitempty"`
 	ByTarget    map[string]int `json:"by_target,omitempty"`
 }
 

@@ -102,7 +102,7 @@ func TestRunDeterministicArrivals(t *testing.T) {
 		QPS:      500,
 		Duration: 200 * time.Millisecond,
 		Seed:     42,
-		Targets: []Target{{Name: "ok", Weight: 1, Do: func(ctx context.Context) (int, error) { return 200, nil }}},
+		Targets:  []Target{{Name: "ok", Weight: 1, Do: func(ctx context.Context) (int, error) { return 200, nil }}},
 	}
 	a, err := Run(context.Background(), cfg)
 	if err != nil {

@@ -221,7 +221,7 @@ type Node struct {
 	cfg    Config
 	policy Policy
 	link   LinkConfig
-	rng    *rand.Rand
+	rng    *rand.Rand // nil on a lossless link
 
 	state     phase
 	phaseLeft float64 // time remaining in the current phase (s)
@@ -262,8 +262,13 @@ func NewWithLink(cfg Config, policy Policy, link LinkConfig) (*Node, error) {
 		cfg:    cfg,
 		policy: policy,
 		link:   link,
-		rng:    rand.New(rand.NewSource(link.Seed)),
 		state:  phaseOff,
+	}
+	if link.LossProb > 0 {
+		// Only a lossy channel draws from the rng (see buildBurst), so an
+		// ideal link skips the ≈4.9 KB source; a batch of lanes holds one
+		// node each.
+		n.rng = rand.New(rand.NewSource(link.Seed))
 	}
 	n.c.FirstTxTime = math.NaN()
 	return n, nil

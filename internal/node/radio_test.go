@@ -32,8 +32,15 @@ func TestNewWithLinkValidation(t *testing.T) {
 
 func TestBuildBurstIdealLink(t *testing.T) {
 	cfg := Default()
-	rng := rand.New(rand.NewSource(1))
-	segs, delivered, lost, retries := buildBurst(cfg, LinkConfig{}, rng, 3)
+	// An ideal link never draws from the rng, so a node on one carries none.
+	n, err := NewWithLink(cfg, AlwaysTransmit{}, LinkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.rng != nil {
+		t.Fatal("a lossless link must not allocate an rng")
+	}
+	segs, delivered, lost, retries := buildBurst(cfg, LinkConfig{}, n.rng, 3)
 	if delivered != 3 || lost != 0 || retries != 0 {
 		t.Fatalf("ideal link outcome: %d/%d/%d", delivered, lost, retries)
 	}

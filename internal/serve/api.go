@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/apiclient"
 	"repro/internal/core"
 )
 
@@ -193,9 +194,8 @@ type ValidateRequest struct {
 	Excite  float64 `json:"excite,omitempty"`
 	Horizon float64 `json:"horizon_s,omitempty"`
 	// Engine selects the simulation engine for the confirming runs:
-	// "fast" (default), "batch" (lockstep lanes, bit-identical to fast)
-	// or "reference" (the dense-step oracle). Unknown values are rejected
-	// with code bad_field.
+	// "fast" (default; "batch" is an accepted synonym) or "reference" (the
+	// dense-step oracle). Unknown values are rejected with code bad_field.
 	Engine string `json:"engine,omitempty"`
 }
 
@@ -247,9 +247,10 @@ type BuildRequest struct {
 	// across the registered simnode worker fleet.
 	Pool string `json:"pool,omitempty"`
 	// Engine selects the simulation engine for the build's design runs:
-	// "fast" (default), "batch" (the lockstep K-lane scheduler, bit-
-	// identical to fast) or "reference". The cluster pool only speaks the
-	// fast engine. Unknown values are rejected with code bad_field.
+	// "fast" (default; "batch" is an accepted synonym) or "reference".
+	// Local fast builds run through the lockstep executor either way. The
+	// cluster pool only accepts "fast". Unknown values are rejected with
+	// code bad_field.
 	Engine string `json:"engine,omitempty"`
 	// TimeoutS bounds the whole build in seconds; 0 means the server
 	// default, and the server's configured maximum always caps it.
@@ -262,11 +263,14 @@ const (
 	PoolCluster = "cluster"
 )
 
-// Values of BuildRequest.Engine and ValidateRequest.Engine, mirroring the
-// engine names internal/core understands.
+// Values of BuildRequest.Engine and ValidateRequest.Engine. Fast and
+// reference mirror the engine names internal/core understands. Batch is an
+// accepted synonym of fast, kept for clients that still send it: every
+// local fast build runs through the lockstep executor anyway, and job and
+// validate views echo the value the client sent.
 const (
 	EngineFast      = core.EngineFast
-	EngineBatch     = core.EngineBatch
+	EngineBatch     = "batch"
 	EngineReference = core.EngineReference
 )
 
@@ -341,8 +345,8 @@ type JobView struct {
 	// ones.
 	Retries         int `json:"retries,omitempty"`
 	PanicsRecovered int `json:"panics_recovered,omitempty"`
-	// Batch carries the batch scheduler's statistics (lanes, cache peels,
-	// amortized rebuilds) when the build ran under the batch engine.
+	// Batch carries the lockstep executor's statistics (lanes, chunks,
+	// trajectories, cache peels, amortized rebuilds) of a local fast build.
 	Batch *core.BatchStats `json:"batch,omitempty"`
 	// Adaptive carries the sequential build's per-round convergence record
 	// and point accounting when the build ran under the adaptive strategy;
@@ -373,17 +377,17 @@ type errorBody struct {
 
 // Machine-readable error codes carried by errorBody.Code.
 const (
-	codeInvalidRequest = "invalid_request" // malformed body, bad field values
-	codeBadField       = "bad_field"       // request carries an unknown field
-	codeProtoMismatch  = "proto_mismatch"  // cluster request speaks the wrong protocol version
-	codeNotFound       = "not_found"       // unknown model or job
-	codeConflict       = "conflict"        // request inconsistent with server state
-	codeQueueFull      = "queue_full"      // build queue at capacity
-	codeOverloaded     = "overloaded"      // admission control shed the request (429 + Retry-After)
-	codeShuttingDown   = "shutting_down"   // server is draining
-	codeClientClosed   = "client_closed"   // client disconnected mid-work
-	codeNumericInvalid = "numeric_invalid" // simulation produced NaN/Inf responses
-	codeInternal       = "internal"        // unexpected server-side failure
+	codeInvalidRequest = apiclient.CodeInvalidRequest // malformed body, bad field values
+	codeBadField       = apiclient.CodeBadField       // request carries an unknown field
+	codeProtoMismatch  = "proto_mismatch"             // cluster request speaks the wrong protocol version
+	codeNotFound       = "not_found"                  // unknown model or job
+	codeConflict       = "conflict"                   // request inconsistent with server state
+	codeQueueFull      = "queue_full"                 // build queue at capacity
+	codeOverloaded     = "overloaded"                 // admission control shed the request (429 + Retry-After)
+	codeShuttingDown   = "shutting_down"              // server is draining
+	codeClientClosed   = "client_closed"              // client disconnected mid-work
+	codeNumericInvalid = "numeric_invalid"            // simulation produced NaN/Inf responses
+	codeInternal       = "internal"                   // unexpected server-side failure
 )
 
 // Machine-readable codes carried by JobView.ErrorCode for failed or

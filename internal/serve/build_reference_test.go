@@ -16,27 +16,44 @@ import (
 // independently of the build pipeline: the test simulates every point of
 // the CCF design one by one, fits each response with rsm.FitModel and
 // saves the result with SaveWithData. The model a fixed /v1/build
-// registers must encode to the same bytes on the real engine, for the
-// fast and batch engines and for one and two workers.
+// registers must encode to the same bytes on the real engine, for one and
+// two workers, on both local executors: the fast engine and its batch
+// synonym behind the server's fresh simulation cache run the lockstep
+// executor, and a problem wired to simcache.Direct{} takes the per-point
+// path.
 func TestFixedBuildMatchesReference(t *testing.T) {
 	const amp, horizon = 0.6, 2.0
 	want := referenceModel(t, amp, horizon)
-	for _, engine := range []string{EngineFast, EngineBatch} {
+	direct := func(excite, horizon float64) *core.Problem {
+		p := core.StandardProblem(excite, horizon)
+		p.Runner = simcache.Direct{}
+		return p
+	}
+	for _, engine := range []string{EngineFast, EngineBatch, "per-point"} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/w%d", engine, workers), func(t *testing.T) {
 				// A fresh server (and cache) per case, so every build
 				// simulates its points instead of replaying another's.
-				srv, ts := newTestServer(t, Config{QueueCap: 1})
-				job := fleetBuild(t, ts.URL, BuildRequest{
+				cfg := Config{QueueCap: 1}
+				req := BuildRequest{
 					Model: "ref", Design: "ccf", Engine: engine,
 					Workers: workers, Excite: amp, Horizon: horizon, Seed: 1,
-				})
+				}
+				if engine == "per-point" {
+					cfg.Problem, req.Engine = direct, EngineFast
+				}
+				srv, ts := newTestServer(t, cfg)
+				job := fleetBuild(t, ts.URL, req)
 				done := pollJob(t, ts.URL, job.ID)
 				if done.State != string(JobDone) {
 					t.Fatalf("build did not finish: %+v", done)
 				}
-				if engine == EngineBatch && (done.Batch == nil || done.Batch.Lanes == 0) {
-					t.Fatalf("batch build simulated no lanes: %+v", done.Batch)
+				if engine == "per-point" {
+					if done.Batch != nil {
+						t.Fatalf("per-point build ran lanes: %+v", done.Batch)
+					}
+				} else if done.Batch == nil || done.Batch.Lanes != 25 {
+					t.Fatalf("lockstep build did not simulate its 25 unique points as lanes: %+v", done.Batch)
 				}
 				ss, ok := srv.Registry().Get("ref")
 				if !ok {

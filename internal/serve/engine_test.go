@@ -38,11 +38,11 @@ func buildAndWait(t *testing.T, url string, req BuildRequest) JobView {
 	}
 }
 
-// TestBuildEngineBatch drives a batch-engine build end to end: the job
-// reports the engine it ran plus the scheduler's stats, a following fast
-// build is answered entirely from the shared cache (batch results alias
-// the fast engine's entries), a repeat batch build short-circuits, and the
-// batch counters land on /metrics.
+// TestBuildEngineBatch drives a build with the "batch" engine synonym end
+// to end: the job echoes the engine it was sent plus the lockstep
+// executor's stats, a following fast build is answered entirely from the
+// shared cache (the same executor filled it), a repeat batch build
+// short-circuits, and the batch counters land on /metrics.
 func TestBuildEngineBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{QueueCap: 4})
 
@@ -59,8 +59,9 @@ func TestBuildEngineBatch(t *testing.T) {
 	if bs == nil {
 		t.Fatalf("batch job carries no batch stats: %+v", batch)
 	}
-	if bs.Points == 0 || bs.Lanes == 0 || bs.Chunks == 0 {
-		t.Fatalf("batch prepass did not run: %+v", bs)
+	// CCF k=4 with three centre replicates: 27 runs on 25 unique points.
+	if bs.Points != 27 || bs.Lanes != 25 || bs.Chunks == 0 {
+		t.Fatalf("lockstep executor did not run every unique point: %+v", bs)
 	}
 	if bs.Peeled != 0 {
 		t.Fatalf("fresh cache peeled %d points", bs.Peeled)
@@ -77,8 +78,10 @@ func TestBuildEngineBatch(t *testing.T) {
 	if fast.Engine != EngineFast {
 		t.Fatalf("default engine = %q, want %q", fast.Engine, EngineFast)
 	}
-	if fast.Batch != nil {
-		t.Fatalf("fast build must not carry batch stats: %+v", fast.Batch)
+	// Every local fast build runs the lockstep executor; this one finds
+	// all of its unique points in the cache and launches no lane.
+	if fb := fast.Batch; fb == nil || fb.Points != bs.Points || fb.Peeled != bs.Lanes || fb.Lanes != 0 || fb.Chunks != 0 {
+		t.Fatalf("fast build must peel every unique point the batch build simulated: %+v", fast.Batch)
 	}
 	if len(fast.R2) != len(batch.R2) {
 		t.Fatalf("R2 sets differ: %v vs %v", fast.R2, batch.R2)
@@ -89,7 +92,7 @@ func TestBuildEngineBatch(t *testing.T) {
 		}
 	}
 
-	// A repeat batch build finds everything cached: the prepass peels all
+	// A repeat batch build finds everything cached: the executor peels all
 	// unique points and launches no chunks.
 	again := buildAndWait(t, ts.URL, BuildRequest{
 		Model: "mb2", Design: "ccf", Horizon: 2, Seed: 1, Engine: EngineBatch,
@@ -153,8 +156,8 @@ func TestEngineFieldValidation(t *testing.T) {
 	}
 }
 
-// TestValidateEngineBatch runs confirming simulations through the batch
-// prepass and checks the response echoes the engine that ran.
+// TestValidateEngineBatch runs confirming simulations under the "batch"
+// engine synonym and checks the response echoes the engine it was sent.
 func TestValidateEngineBatch(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	srv.Registry().Set("m", fixture(t))
@@ -171,8 +174,8 @@ func TestValidateEngineBatch(t *testing.T) {
 		t.Fatalf("batch validate report: %s", body)
 	}
 
-	// The same points under the default engine give bit-identical errors —
-	// the batch lanes are the fast engine, just scheduled differently.
+	// The same points under the default engine give bit-identical errors:
+	// batch is a synonym of fast.
 	resp, body = postJSON(t, ts.URL+"/v1/validate", ValidateRequest{
 		Model: "m", N: 3, Seed: 7, Horizon: 2,
 	})

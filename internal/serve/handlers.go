@@ -287,10 +287,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := s.problem(excite, horizon)
-	switch engine {
-	case EngineBatch:
-		p.EngineName = core.EngineBatch
-	case EngineReference:
+	if engine == EngineReference {
 		p.Engine = sim.RunReference
 		p.EngineName = core.EngineReference
 	}
@@ -322,12 +319,6 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 			x[j] = rng.Float64()*2 - 1
 		}
 		points[i] = x
-	}
-	// The batch engine pre-simulates the fresh points in lockstep lanes;
-	// the per-point loop below then drains from the warmed results, with
-	// unchanged semantics for any point the prepass could not settle.
-	if engine == EngineBatch {
-		p, _ = p.PrewarmBatch(r.Context(), points, 0)
 	}
 	sums := make(map[core.ResponseID]float64, len(ids))
 	maxs := make(map[core.ResponseID]float64, len(ids))

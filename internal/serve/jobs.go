@@ -47,7 +47,7 @@ type Job struct {
 	R2       map[string]float64
 	Retries  int                 // design-run attempts retried after transient faults
 	Panics   int                 // simulation panics recovered into errors
-	Batch    *core.BatchStats    // batch-scheduler stats when the batch engine ran
+	Batch    *core.BatchStats    // lockstep-executor stats of a local fast build
 	Adaptive *core.AdaptiveStats // per-round record when the adaptive strategy ran
 }
 
@@ -192,9 +192,9 @@ func NewJobManager(cfg JobManagerConfig) *JobManager {
 		cluster:    cfg.Cluster,
 		finished:   reg.CounterVec("ehdoed_jobs_total", "Build jobs finished, by terminal state.", "state"),
 		batchLanes: reg.Counter("ehdoed_sim_batch_lanes_total",
-			"Design points simulated inside lockstep batch lanes."),
+			"Design points simulated as lockstep lanes by local fast builds."),
 		batchAmort: reg.Counter("ehdoed_sim_batch_rebuild_amortized_total",
-			"Batch-lane ZOH rebuilds answered by a bake shared with another lane."),
+			"Lane ZOH rebuilds answered by a bake shared with another lane."),
 		rounds: reg.Counter("ehdoed_build_rounds",
 			"Design rounds executed by finished builds (a fixed build counts one round)."),
 		ptsSim: reg.Counter("ehdoed_build_points_simulated_total",
@@ -500,14 +500,11 @@ func (m *JobManager) run(j *Job) {
 	}
 
 	p := m.problem(j.Req.Excite, j.Req.Horizon)
-	// Engine selection: the batch engine is a scheduling strategy on top of
-	// the fast engine (bit-identical lanes), the reference engine swaps the
-	// simulator itself. Submit already resolved the default and rejected
-	// unknown values.
-	switch j.Req.Engine {
-	case EngineBatch:
-		p.EngineName = core.EngineBatch
-	case EngineReference:
+	// Engine selection: the reference engine swaps the simulator itself;
+	// fast and its synonym batch keep the default engine, whose local
+	// builds run through the lockstep executor. Submit already resolved
+	// the default and rejected unknown values.
+	if j.Req.Engine == EngineReference {
 		p.Engine = sim.RunReference
 		p.EngineName = core.EngineReference
 	}

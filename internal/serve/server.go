@@ -3,15 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
-	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/apiclient"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/load"
@@ -311,28 +312,21 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
-// decodeJSON parses a bounded request body into a typed request struct.
-// Unknown fields are rejected (code bad_field) so typos fail loudly
-// instead of silently defaulting; trailing garbage is rejected too.
+// decodeJSON parses a bounded request body into a typed request struct
+// under apiclient.DecodeRequest, the decode rule of every mount: unknown
+// fields are rejected (code bad_field) so typos fail loudly instead of
+// silently defaulting; malformed JSON and trailing data get
+// invalid_request.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := readAll(w, r, s.maxBody)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "reading body: %v", err)
 		return false
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if strings.Contains(err.Error(), "unknown field") {
-			writeError(w, http.StatusBadRequest, codeBadField, "%v", err)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, "malformed JSON body: %v", err)
-		return false
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, "malformed JSON body: trailing data")
+	if err := apiclient.DecodeRequest(bytes.NewReader(body), v); err != nil {
+		var de *apiclient.DecodeError
+		errors.As(err, &de)
+		writeError(w, http.StatusBadRequest, de.Code, "%v", err)
 		return false
 	}
 	return true

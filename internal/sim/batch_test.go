@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/node"
@@ -279,4 +280,110 @@ func FuzzBatchLaneEquivalence(f *testing.F) {
 		}
 		compareLane(t, "fuzz", want, got[0])
 	})
+}
+
+// TestRunBatchSharesTrajectories checks the trajectory partition: untuned
+// lanes with the same harvester and starting gap step one shared fast
+// trajectory, a different starting gap or a tuner gets its own, and every
+// lane — waveforms included — stays bit-identical to its solo run.
+func TestRunBatchSharesTrajectories(t *testing.T) {
+	base := DefaultDesign()
+	base.InitialStoreV = 3.3
+	src := vibration.Sine{Amplitude: 0.6, Freq: base.Harv.ResonantFreq(base.Harv.GapMax)}
+	cfg := Config{Horizon: 2, Source: src, RecordWaveforms: true, Decimate: 20}
+
+	designs := slowSideVariants(base, 6) // one shared trajectory
+	moved := base
+	moved.InitialGap = 0.8 * base.Harv.GapMax // own starting gap: second trajectory
+	tuned := base
+	tc := tuner.DefaultConfig()
+	tc.Interval = 0.5
+	tc.EstimatorWin = 0.25
+	tuned.Tuner = &tc // tuned lanes never share
+	designs = append(designs, moved, moved, tuned, tuned)
+
+	got, stats, err := RunBatchStats(designs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Lanes != len(designs) || stats.Trajectories != 4 || stats.Groups != 1 {
+		t.Fatalf("stats = %+v, want %d lanes on 4 trajectories in 1 group", stats, len(designs))
+	}
+	for i, d := range designs {
+		want, err := RunFast(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareLane(t, fmt.Sprintf("lane%d", i), want, got[i])
+	}
+}
+
+// FuzzBatchLaneSharing runs K=2..6 lanes under one excitation with fuzzed
+// per-lane period, threshold and store size, tuned and untuned lanes mixed
+// by a bit mask, and compares every lane byte for byte against RunFast.
+// The untuned lanes must share a single trajectory, so the fuzzer
+// exercises lanes reading a fast state another lane's setup created.
+func FuzzBatchLaneSharing(f *testing.F) {
+	f.Add(uint8(0), int64(1), 1.0, 47.0, uint8(0))
+	f.Add(uint8(2), int64(7), 1.5, 45.0, uint8(0b00101))
+	f.Add(uint8(4), int64(42), 0.5, 52.0, uint8(0b10000))
+	f.Fuzz(func(t *testing.T, k uint8, seed int64, horizon, freq float64, tunedMask uint8) {
+		if !(horizon > 0.01 && horizon < 2) || !(freq > 20 && freq < 80) {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		designs := make([]Design, 2+int(k%5))
+		tunedLanes, untuned := 0, 0
+		for i := range designs {
+			d := DefaultDesign()
+			d.Node.Period = 0.5 + 20*rng.Float64()
+			d.Policy = node.ThresholdPolicy{VThreshold: 2.6 + rng.Float64()}
+			d.Store.C = 0.01 + 0.09*rng.Float64()
+			d.InitialStoreV = 3.3
+			if tunedMask>>i&1 == 1 {
+				tc := tuner.DefaultConfig()
+				tc.Interval = 0.5
+				tc.EstimatorWin = 0.25
+				d.Tuner = &tc
+				tunedLanes++
+			} else {
+				untuned++
+			}
+			designs[i] = d
+		}
+		cfg := Config{Horizon: horizon, Source: vibration.Sine{Amplitude: 0.6, Freq: freq},
+			RecordWaveforms: true, Decimate: 25}
+
+		got, stats, err := RunBatchStats(designs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTrajs := tunedLanes
+		if untuned > 0 {
+			wantTrajs++
+		}
+		if stats.Trajectories != wantTrajs {
+			t.Fatalf("stats = %+v, want %d trajectories (%d tuned lanes, %d untuned)",
+				stats, wantTrajs, tunedLanes, untuned)
+		}
+		for i, d := range designs {
+			want, err := RunFast(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareLane(t, fmt.Sprintf("lane%d", i), want, got[i])
+			if a, b := resultText(want), resultText(got[i]); a != b {
+				t.Fatalf("lane %d: result bytes differ from RunFast:\n%s\n%s", i, a, b)
+			}
+		}
+	})
+}
+
+// resultText prints a result with its wall-clock Elapsed zeroed. %#v
+// prints every float in its shortest round-tripping form, so equal text
+// means bit-equal fields — with no tolerance, unlike compareResults.
+func resultText(r *Result) string {
+	c := *r
+	c.Elapsed = 0
+	return fmt.Sprintf("%#v", c)
 }

@@ -113,6 +113,9 @@ type Config struct {
 	Decimate        int  // record every k-th slow step (default 10)
 }
 
+// defaultDtSlow is the slow-side step used when Config.DtSlow is unset (s).
+const defaultDtSlow = 1e-3
+
 func (c *Config) defaults() error {
 	if c.Horizon <= 0 {
 		return fmt.Errorf("sim: horizon %g must be positive", c.Horizon)
@@ -121,7 +124,7 @@ func (c *Config) defaults() error {
 		return fmt.Errorf("sim: a vibration source is required")
 	}
 	if c.DtSlow <= 0 {
-		c.DtSlow = 1e-3
+		c.DtSlow = defaultDtSlow
 	}
 	if c.DtRef <= 0 {
 		c.DtRef = 5e-5
@@ -197,16 +200,22 @@ type slowSide struct {
 	leaked    float64
 }
 
+// initialGap is the magnet gap a run starts from: InitialGap, or GapMax
+// (untuned) when unset, clamped to the actuator's travel.
+func initialGap(d Design) float64 {
+	gap := d.InitialGap
+	if gap == 0 {
+		gap = d.Harv.GapMax
+	}
+	return d.Harv.ClampGap(gap)
+}
+
 func newSlowSide(d Design) (*slowSide, error) {
 	nd, err := node.NewWithLink(d.Node, d.Policy, d.Link)
 	if err != nil {
 		return nil, err
 	}
-	gap := d.InitialGap
-	if gap == 0 {
-		gap = d.Harv.GapMax
-	}
-	gap = d.Harv.ClampGap(gap)
+	gap := initialGap(d)
 	s := &slowSide{
 		d:      d,
 		nd:     nd,

@@ -8,9 +8,10 @@ import (
 )
 
 // TestAppendKeyMatchesFingerprint pins the contract that makes the pooled
-// key path safe: appendKey over pointers produces byte-for-byte the same
-// hex digest as the public Fingerprint over values, so both address the
-// same cache entries (including the disk tier).
+// key path safe: appendKey over pointers, and Key over its pooled scratch,
+// produce byte-for-byte the same hex digest as the public Fingerprint over
+// values, so all three address the same cache entries (including the disk
+// tier).
 func TestAppendKeyMatchesFingerprint(t *testing.T) {
 	d, cfg := testDesign(3.0), testConfig(10)
 	tc := tuner.DefaultConfig()
@@ -38,6 +39,9 @@ func TestAppendKeyMatchesFingerprint(t *testing.T) {
 		}
 		if string(got) != want {
 			t.Fatalf("%s: appendKey %s != Fingerprint %s", c.name, got, want)
+		}
+		if key, err := Key(c.engine, c.d, c.cfg); err != nil || key != want {
+			t.Fatalf("%s: Key %s (%v) != Fingerprint %s", c.name, key, err, want)
 		}
 	}
 }

@@ -198,6 +198,21 @@ func (ks *keyScratch) release() {
 	keyScratchPool.Put(ks)
 }
 
+// Key returns the cache key of a simulation request, equal to
+// Fingerprint(engine, d, cfg) and to the key Run computes, through Run's
+// pooled scratch: the one allocation is the returned string.
+func Key(engine string, d sim.Design, cfg sim.Config) (string, error) {
+	ks := keyScratchPool.Get().(*keyScratch)
+	defer ks.release()
+	ks.d, ks.cfg = d, cfg
+	raw, err := appendKey(ks.key[:0], engine, &ks.d, &ks.cfg)
+	if err != nil {
+		return "", err
+	}
+	ks.key = raw[:0]
+	return string(raw), nil
+}
+
 // Run implements Runner. Resolution order: in-memory hit → join an
 // identical in-flight run → disk hit → execute. Errors are never cached.
 // Cache decisions are logged at debug level through the context's logger
