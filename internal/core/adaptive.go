@@ -206,13 +206,11 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 		}
 	}
 
-	fitters := make(map[ResponseID]*rsm.Fitter, len(p.Responses))
-	for _, id := range p.Responses {
-		f, err := rsm.NewFitter(model)
-		if err != nil {
-			return nil, err
-		}
-		fitters[id] = f
+	// One fitter serves every response: the runs, the Cholesky factor and
+	// the leverages are shared, only Xᵀy and y are per response.
+	fitter, err := rsm.NewFitter(model, len(p.Responses))
+	if err != nil {
+		return nil, err
 	}
 
 	cum := &Dataset{
@@ -223,7 +221,7 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 	res := &BuildResult{Dataset: cum, Adaptive: stats}
 
 	// absorb merges one round's dataset into the cumulative one and feeds
-	// the incremental fitters.
+	// the incremental fitter.
 	absorb := func(ds *Dataset) error {
 		cum.SimTime += ds.SimTime
 		cum.SimWork += ds.SimWork
@@ -239,15 +237,12 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 			return nil
 		}
 		cum.Design.Runs = append(cum.Design.Runs, ds.Design.Runs...)
-		for _, id := range p.Responses {
+		cols := make([][]float64, len(p.Responses))
+		for r, id := range p.Responses {
 			cum.Y[id] = append(cum.Y[id], ds.Y[id]...)
-			for i, run := range ds.Design.Runs {
-				if err := fitters[id].Append(run, ds.Y[id][i]); err != nil {
-					return err
-				}
-			}
+			cols[r] = ds.Y[id]
 		}
-		return nil
+		return fitter.AppendRows(ds.Design.Runs, cols...)
 	}
 
 	fail := func(err error) (*BuildResult, error) {
@@ -265,19 +260,21 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 			worstLackP: math.Inf(1), lofOK: true,
 		}
 		anyLackP := false
-		for _, id := range p.Responses {
-			f := fitters[id]
-			snap, err := f.Snapshot()
-			if err != nil {
-				return nil, fmt.Errorf("core: refitting %q: %w", id, err)
-			}
+		snaps, err := fitter.Snapshot()
+		if err != nil {
+			// The runs alone decide whether a snapshot exists, so every
+			// response fails alike; report the first.
+			return nil, fmt.Errorf("core: refitting %q: %w", p.Responses[0], err)
+		}
+		for r, snap := range snaps {
+			ys := fitter.Ys(r)
 			// Near-constant response: the simulator answered (almost)
 			// the same value everywhere, so TotalSS is rounding dust and
 			// every R²/lack ratio is numerical noise, not information.
 			// Any surface explains a constant — treat it as trivially
 			// adequate instead of letting noise block convergence.
 			var sumYY float64
-			for _, y := range f.Ys() {
+			for _, y := range ys {
 				sumYY += y * y
 			}
 			if snap.TotalSS <= 1e-12*math.Max(sumYY, 1e-300) {
@@ -288,7 +285,7 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 			q.minR2Pred = math.Min(q.minR2Pred, snap.R2Pred)
 			lackFrac := 0.0
 			lofPass := false
-			lof, lerr := snap.LackOfFitTest(f.Runs(), f.Ys())
+			lof, lerr := snap.LackOfFitTest(fitter.Runs(), ys)
 			if lerr == nil {
 				if snap.TotalSS > 0 {
 					lackFrac = lof.LackSS / snap.TotalSS

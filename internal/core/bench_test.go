@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/rsm"
 	"repro/internal/simcache"
 )
 
@@ -46,3 +47,17 @@ func BenchmarkBuildCCFCold(b *testing.B) { benchBuildCCF(b, true) }
 // BenchmarkBuildCCFWarm is the overhead-bound build: every point answered
 // by the cache, so resolution, lookups and fitting carry the time.
 func BenchmarkBuildCCFWarm(b *testing.B) { benchBuildCCF(b, false) }
+
+// BenchmarkBuildSurfaces is the fitting stage of a fixed build alone: six
+// responses on the CCF k=4 design.
+func BenchmarkBuildSurfaces(b *testing.B) {
+	p, ds := surfacesDataset(b)
+	model := rsm.FullQuadratic(len(p.Factors))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.BuildSurfaces(ds, model); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -283,19 +283,28 @@ type Surfaces struct {
 	FitTime time.Duration
 }
 
-// BuildSurfaces fits the model to every response in the dataset.
+// BuildSurfaces fits the model to every response in the dataset. Every
+// response is observed on the same design, so the design is factored once
+// (one rsm.Basis) and each response costs one least-squares solve.
 func (p *Problem) BuildSurfaces(ds *Dataset, model rsm.Model) (*Surfaces, error) {
 	if model.K != len(p.Factors) {
 		return nil, fmt.Errorf("core: model has %d factors, problem has %d", model.K, len(p.Factors))
 	}
 	s := &Surfaces{Problem: p, Model: model, Fits: make(map[ResponseID]*rsm.Fit, len(p.Responses))}
 	start := time.Now()
+	// A design that cannot identify the model fails every response alike;
+	// it is reported at the first one.
+	basis, berr := rsm.NewBasis(model, ds.Design.Runs)
 	for _, id := range p.Responses {
 		y, ok := ds.Y[id]
 		if !ok {
 			return nil, fmt.Errorf("core: dataset lacks response %q", id)
 		}
-		fit, err := rsm.FitModel(model, ds.Design.Runs, y)
+		err := berr
+		var fit *rsm.Fit
+		if err == nil {
+			fit, err = basis.Fit(y)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: fitting %q: %w", id, err)
 		}

@@ -303,3 +303,44 @@ func TestStandardProblemFactorsDriveTheSystem(t *testing.T) {
 		t.Fatalf("frequency factor inert: %v vs %v µW", offRes[RespHarvestedPower], onRes[RespHarvestedPower])
 	}
 }
+
+// surfacesDataset returns the standard problem with a synthetic dataset on
+// the CCF k=4 design: six smooth responses, each with its own curvature, so
+// every surface has real residuals and leverage-driven PRESS.
+func surfacesDataset(tb testing.TB) (*Problem, *Dataset) {
+	tb.Helper()
+	p := StandardProblem(0.6, 60)
+	design, err := NamedDesign("ccf", len(p.Factors), 0, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ds := &Dataset{Design: design, Y: make(map[ResponseID][]float64, len(p.Responses))}
+	for r, id := range p.Responses {
+		y := make([]float64, design.N())
+		for i, x := range design.Runs {
+			v := float64(r + 1)
+			for j, xj := range x {
+				v += float64(j-r)*xj + 0.2*float64(r)*xj*xj
+			}
+			y[i] = v + 0.03*math.Sin(float64(7*i+r))
+		}
+		ds.Y[id] = y
+	}
+	return p, ds
+}
+
+// TestBuildSurfacesAllocs bounds the allocations of fitting all six
+// responses of a CCF k=4 build. One factorization of the design serves
+// every response; factoring it once per response cost ≈675.
+func TestBuildSurfacesAllocs(t *testing.T) {
+	p, ds := surfacesDataset(t)
+	model := rsm.FullQuadratic(len(p.Factors))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := p.BuildSurfaces(ds, model); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Fatalf("BuildSurfaces allocates %.0f times per call, want ≤ 200", allocs)
+	}
+}

@@ -195,6 +195,12 @@ func TestExchangeMatchesQuadFormReference(t *testing.T) {
 			row := rsm.FullQuadratic(k).Row
 			p := len(rsm.FullQuadratic(k).Terms)
 			for seed := int64(0); seed <= 5; seed++ {
+				if raceEnabled && k == 5 && levels == 5 && seed > 0 {
+					// Each of these costs ~30 s under the race detector,
+					// which has nothing to find in single-goroutine
+					// arithmetic; seed 0 keeps the combination covered.
+					continue
+				}
 				t.Run(fmt.Sprintf("k=%d/levels=%d/seed=%d", k, levels, seed), func(t *testing.T) {
 					t.Parallel()
 					for _, passes := range []int{4, 0} {

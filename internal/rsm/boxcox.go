@@ -58,6 +58,9 @@ func BoxCoxProfile(m Model, runs [][]float64, y []float64, lambdas []float64) (b
 	n := float64(len(y))
 	best := math.Inf(-1)
 	profile = make([]float64, len(lambdas))
+	// Every λ refits the same runs: factor the design once. A design that
+	// cannot identify the model fails every λ alike.
+	basis, berr := NewBasis(m, runs)
 	z := make([]float64, len(y))
 	for li, lam := range lambdas {
 		for i, v := range y {
@@ -67,7 +70,11 @@ func BoxCoxProfile(m Model, runs [][]float64, y []float64, lambdas []float64) (b
 			}
 			z[i] = zi
 		}
-		fit, ferr := FitModel(m, runs, z)
+		ferr := berr
+		var fit *Fit
+		if ferr == nil {
+			fit, ferr = basis.Fit(z)
+		}
 		if ferr != nil {
 			profile[li] = math.Inf(-1)
 			continue

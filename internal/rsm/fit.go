@@ -37,45 +37,110 @@ type Fit struct {
 }
 
 // FitModel fits the model to the coded design runs and observed responses
-// y by Householder QR least squares.
+// y by Householder QR least squares. It is one Basis and one Basis.Fit:
+// callers fitting several responses on the same runs should build the
+// Basis once instead.
 func FitModel(m Model, runs [][]float64, y []float64) (*Fit, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	n, p := len(runs), m.P()
-	if n != len(y) {
-		return nil, fmt.Errorf("rsm: %d runs but %d responses", n, len(y))
+	if len(runs) != len(y) {
+		return nil, fmt.Errorf("rsm: %d runs but %d responses", len(runs), len(y))
 	}
+	b, err := newBasis(m, runs)
+	if err != nil {
+		return nil, err
+	}
+	return b.Fit(y)
+}
+
+// Basis is the response-independent half of a least-squares fit: the model
+// matrix X of one design, its Householder QR, (XᵀX)⁻¹ and the leverages
+// hᵢᵢ. Every response measured on the design shares it, so the design is
+// factored once and each response costs one QR solve plus O(n·p)
+// diagnostics. A Basis is read-only once built; the fits it returns share
+// its (XᵀX)⁻¹, which they only read.
+type Basis struct {
+	model    Model
+	rows     [][]float64 // views of X's rows
+	qr       *la.QR
+	xtxInv   *la.Matrix
+	leverage []float64
+}
+
+// NewBasis factors the model matrix of the coded design runs. It fails
+// when the runs cannot identify the model: fewer runs than coefficients, a
+// run of the wrong width, or an aliased or rank-deficient design.
+func NewBasis(m Model, runs [][]float64) (*Basis, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return newBasis(m, runs)
+}
+
+// newBasis is NewBasis for a model already validated.
+func newBasis(m Model, runs [][]float64) (*Basis, error) {
+	n, p := len(runs), m.P()
 	if n < p {
 		return nil, fmt.Errorf("rsm: %d runs cannot identify %d coefficients", n, p)
 	}
 	x := la.NewMatrix(n, p)
+	rows := make([][]float64, n)
 	for i, r := range runs {
 		if len(r) != m.K {
 			return nil, fmt.Errorf("rsm: run %d has %d factors, model wants %d", i, len(r), m.K)
 		}
-		x.SetRow(i, m.Row(r))
+		rows[i] = m.RowInto(r, x.RowView(i))
 	}
 	qr, err := la.FactorQR(x)
 	if err != nil {
 		return nil, err
 	}
-	coef, err := qr.SolveLS(y)
-	if err != nil {
-		return nil, fmt.Errorf("rsm: design cannot identify the model (aliased or deficient): %w", err)
+	if !qr.FullRank() {
+		return nil, fmt.Errorf("rsm: design cannot identify the model (aliased or deficient): %w", la.ErrSingular)
 	}
 	xtxInv, err := qr.XtXInverse()
 	if err != nil {
 		return nil, err
 	}
+	b := &Basis{model: m, rows: rows, qr: qr, xtxInv: xtxInv, leverage: make([]float64, n)}
+	for i, row := range rows {
+		b.leverage[i] = quadFormMat(xtxInv, row)
+	}
+	return b, nil
+}
 
-	f := &Fit{Model: m, Coef: coef, N: n, xtxInv: xtxInv}
+// Fit fits one response y, observed at the basis's runs, and computes its
+// diagnostics.
+func (b *Basis) Fit(y []float64) (*Fit, error) {
+	if len(y) != len(b.rows) {
+		return nil, fmt.Errorf("rsm: %d runs but %d responses", len(b.rows), len(y))
+	}
+	coef, err := b.qr.SolveLS(y)
+	if err != nil {
+		return nil, err
+	}
+	f := newFit(b.model, coef, b.rows, y, b.leverage)
+	f.xtxInv = b.xtxInv
+	// Coefficient standard errors.
+	f.CoefSE = make([]float64, len(coef))
+	for j := range f.CoefSE {
+		f.CoefSE[j] = math.Sqrt(f.Sigma2 * f.xtxInv.At(j, j))
+	}
+	return f, nil
+}
+
+// newFit computes the diagnostics every fit of y carries, batch or
+// incremental: residuals, sums of squares, R², adjusted R², σ², RMSE,
+// leverage (a copy of lev) and PRESS.
+func newFit(m Model, coef []float64, rows [][]float64, y, lev []float64) *Fit {
+	n, p := len(y), m.P()
+	f := &Fit{Model: m, Coef: coef, N: n}
 	// Residuals and sums of squares.
 	f.Residuals = make([]float64, n)
 	mean := stats.Mean(y)
-	for i := range y {
-		pred := dot(x.Row(i), coef)
-		e := y[i] - pred
+	for i, row := range rows {
+		e := y[i] - dot(row, coef)
 		f.Residuals[i] = e
 		f.ResidualSS += e * e
 		d := y[i] - mean
@@ -99,12 +164,9 @@ func FitModel(m Model, runs [][]float64, y []float64) (*Fit, error) {
 	} else {
 		f.AdjR2 = f.R2
 	}
-	// Leverage and PRESS.
-	f.Leverage = make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		h := quadFormMat(f.xtxInv, row)
-		f.Leverage[i] = h
+	// Leverage (shared by every response of the design) and PRESS.
+	f.Leverage = append([]float64(nil), lev...)
+	for i, h := range f.Leverage {
 		denom := 1 - h
 		if denom < 1e-12 {
 			denom = 1e-12 // saturated point: its PRESS contribution explodes, cap it
@@ -117,12 +179,7 @@ func FitModel(m Model, runs [][]float64, y []float64) (*Fit, error) {
 	} else {
 		f.R2Pred = 1
 	}
-	// Coefficient standard errors.
-	f.CoefSE = make([]float64, p)
-	for j := 0; j < p; j++ {
-		f.CoefSE[j] = math.Sqrt(f.Sigma2 * f.xtxInv.At(j, j))
-	}
-	return f, nil
+	return f
 }
 
 func dot(a, b []float64) float64 {

@@ -13,37 +13,46 @@ import (
 // requires, and irrelevant to Finalize, which refits from scratch.
 const fitterRidge = 1e-12
 
-// Fitter is an incrementally updatable least-squares fit: the sequential
-// (adaptive-build) counterpart of FitModel. It maintains the Cholesky
-// factorization L·Lᵀ = XᵀX + ridge·I and the vector Xᵀy under appended
-// rows, so after each new simulated point the coefficients are one rank-one
-// Cholesky update plus two triangular solves — O(p²) instead of the
-// O(n·p²) batch refactorization.
+// Fitter is an incrementally updatable least-squares fit of one or more
+// responses observed on the same runs: the sequential (adaptive-build)
+// counterpart of Basis. It maintains one Cholesky factorization
+// L·Lᵀ = XᵀX + ridge·I under appended rows, plus one vector Xᵀy per
+// response, so after each new simulated point every response's
+// coefficients are one shared rank-one Cholesky update plus two triangular
+// solves — O(p²) instead of the O(n·p²) batch refactorization.
 //
-// Snapshot returns the current incremental fit with the diagnostics the
-// adaptive stopping rule consumes (R², adjusted R², PRESS, lack-of-fit
-// inputs). Finalize hands the accumulated rows to FitModel, so the final
-// model of an adaptive build is bit-identical to a batch fit of the same
-// data — the equivalence the fixed-strategy regression tests pin down.
+// Snapshot returns the current incremental fit of every response with the
+// diagnostics the adaptive stopping rule consumes (R², adjusted R², PRESS,
+// lack-of-fit inputs). Finalize fits the accumulated rows through one
+// Basis, so the final models of an adaptive build are bit-identical to
+// batch fits of the same data — the equivalence the fixed-strategy
+// regression tests pin down.
 type Fitter struct {
 	model Model
 	p     int
 
-	l   [][]float64 // lower-triangular Cholesky factor of XᵀX + ridge·I
-	xty []float64
-
+	l    [][]float64 // lower-triangular Cholesky factor of XᵀX + ridge·I
 	rows [][]float64 // expanded model rows, retained for diagnostics
 	runs [][]float64 // coded runs, retained for Finalize and lack-of-fit
-	ys   []float64
+
+	xty [][]float64 // Xᵀy, one per response
+	ys  [][]float64 // observed values, one column per response
 }
 
-// NewFitter returns an empty incremental fitter for the model.
-func NewFitter(m Model) (*Fitter, error) {
+// NewFitter returns an empty incremental fitter for the model and the
+// given number of responses.
+func NewFitter(m Model, responses int) (*Fitter, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	if responses < 1 {
+		return nil, fmt.Errorf("rsm: fitter needs ≥1 response, got %d", responses)
+	}
 	p := m.P()
-	f := &Fitter{model: m, p: p, xty: make([]float64, p)}
+	f := &Fitter{model: m, p: p, xty: make([][]float64, responses), ys: make([][]float64, responses)}
+	for r := range f.xty {
+		f.xty[r] = make([]float64, p)
+	}
 	f.l = make([][]float64, p)
 	for i := range f.l {
 		f.l[i] = make([]float64, i+1)
@@ -56,23 +65,60 @@ func NewFitter(m Model) (*Fitter, error) {
 func (f *Fitter) Model() Model { return f.model }
 
 // N returns the number of appended observations.
-func (f *Fitter) N() int { return len(f.ys) }
+func (f *Fitter) N() int { return len(f.runs) }
 
 // Runs returns the appended coded runs (shared backing array; do not
 // mutate).
 func (f *Fitter) Runs() [][]float64 { return f.runs }
 
-// Ys returns the appended responses (shared backing array; do not mutate).
-func (f *Fitter) Ys() []float64 { return f.ys }
+// Ys returns the appended values of response r (shared backing array; do
+// not mutate).
+func (f *Fitter) Ys(r int) []float64 { return f.ys[r] }
 
-// Append adds one observation: a coded run and its response. Cost is O(p²).
-func (f *Fitter) Append(run []float64, y float64) error {
-	if len(run) != f.model.K {
-		return fmt.Errorf("rsm: run has %d factors, model wants %d", len(run), f.model.K)
+// Append adds one observation: a coded run and its value of every
+// response, in response order. Cost is O(p²) plus O(p) per response.
+func (f *Fitter) Append(run []float64, ys ...float64) error {
+	cols := make([][]float64, len(ys))
+	for r := range ys {
+		cols[r] = ys[r : r+1]
 	}
-	if math.IsNaN(y) || math.IsInf(y, 0) {
-		return fmt.Errorf("rsm: non-finite response %v", y)
+	return f.AppendRows([][]float64{run}, cols...)
+}
+
+// AppendRows appends a batch of observations; ys holds one column per
+// response, in response order. The whole batch is checked, response by
+// response, before the factor changes.
+func (f *Fitter) AppendRows(runs [][]float64, ys ...[]float64) error {
+	if len(ys) != len(f.ys) {
+		return fmt.Errorf("rsm: fitter has %d responses, got %d", len(f.ys), len(ys))
 	}
+	for _, col := range ys {
+		if len(runs) != len(col) {
+			return fmt.Errorf("rsm: %d runs but %d responses", len(runs), len(col))
+		}
+	}
+	for _, col := range ys {
+		for i, run := range runs {
+			if len(run) != f.model.K {
+				return fmt.Errorf("rsm: run has %d factors, model wants %d", len(run), f.model.K)
+			}
+			if y := col[i]; math.IsNaN(y) || math.IsInf(y, 0) {
+				return fmt.Errorf("rsm: non-finite response %v", y)
+			}
+		}
+	}
+	vals := make([]float64, len(ys))
+	for i, run := range runs {
+		for r, col := range ys {
+			vals[r] = col[i]
+		}
+		f.add(run, vals)
+	}
+	return nil
+}
+
+// add appends one checked observation.
+func (f *Fitter) add(run []float64, ys []float64) {
 	row := f.model.Row(run)
 	// Rank-one Cholesky update: L·Lᵀ ← L·Lᵀ + row·rowᵀ. The classical
 	// Givens-style sweep mutates its work vector, so operate on a copy.
@@ -87,39 +133,34 @@ func (f *Fitter) Append(run []float64, y float64) error {
 			w[i] = c*w[i] - s*f.l[i][j]
 		}
 	}
-	for j := 0; j < f.p; j++ {
-		f.xty[j] += row[j] * y
+	for r, y := range ys {
+		xty := f.xty[r]
+		for j := 0; j < f.p; j++ {
+			xty[j] += row[j] * y
+		}
+		f.ys[r] = append(f.ys[r], y)
 	}
 	f.rows = append(f.rows, row)
 	f.runs = append(f.runs, append([]float64(nil), run...))
-	f.ys = append(f.ys, y)
-	return nil
 }
 
-// AppendRows appends a batch of observations.
-func (f *Fitter) AppendRows(runs [][]float64, ys []float64) error {
-	if len(runs) != len(ys) {
-		return fmt.Errorf("rsm: %d runs but %d responses", len(runs), len(ys))
+// Coef solves the current normal equations of response r from the updated
+// Cholesky factor in O(p²). An error is returned while the design cannot
+// identify the model (n < p).
+func (f *Fitter) Coef(r int) ([]float64, error) {
+	if err := f.identified(); err != nil {
+		return nil, err
 	}
-	for i := range runs {
-		if err := f.Append(runs[i], ys[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.solve(r), nil
 }
 
-// Coef solves the current normal equations from the updated Cholesky factor
-// in O(p²). An error is returned while the design cannot identify the model
-// (n < p).
-func (f *Fitter) Coef() ([]float64, error) {
-	if f.N() < f.p {
-		return nil, fmt.Errorf("rsm: %d runs cannot identify %d coefficients", f.N(), f.p)
-	}
+// solve solves L·Lᵀ·β = Xᵀy of response r.
+func (f *Fitter) solve(r int) []float64 {
 	// Forward substitution: L·z = Xᵀy.
+	xty := f.xty[r]
 	z := make([]float64, f.p)
 	for i := 0; i < f.p; i++ {
-		s := f.xty[i]
+		s := xty[i]
 		for j := 0; j < i; j++ {
 			s -= f.l[i][j] * z[j]
 		}
@@ -134,7 +175,16 @@ func (f *Fitter) Coef() ([]float64, error) {
 		}
 		beta[i] = s / f.l[i][i]
 	}
-	return beta, nil
+	return beta
+}
+
+// identified reports an error while the runs cannot identify the model
+// (n < p).
+func (f *Fitter) identified() error {
+	if f.N() < f.p {
+		return fmt.Errorf("rsm: %d runs cannot identify %d coefficients", f.N(), f.p)
+	}
+	return nil
 }
 
 // leverage returns xᵀ(XᵀX)⁻¹x = ‖L⁻¹x‖² via one forward substitution.
@@ -152,75 +202,44 @@ func (f *Fitter) leverage(row []float64) float64 {
 	return h
 }
 
-// Snapshot returns the incremental fit as a *Fit carrying the diagnostics
-// the sequential stopping rule needs: coefficients, residuals, R²,
-// adjusted R², RMSE, leverage, PRESS and R²-pred, plus the sums of squares
-// LackOfFitTest consumes. The inference-only fields (CoefSE, confidence
-// intervals) are left zero — use Finalize or FitModel when those matter.
-// Cost is O(n·p²) dominated by the per-row leverage solves; the coefficient
-// refit itself is O(p²).
-func (f *Fitter) Snapshot() (*Fit, error) {
-	coef, err := f.Coef()
+// Snapshot returns the incremental fit of every response, in response
+// order, as a *Fit carrying the diagnostics the sequential stopping rule
+// needs: coefficients, residuals, R², adjusted R², RMSE, leverage, PRESS
+// and R²-pred, plus the sums of squares LackOfFitTest consumes. The
+// inference-only fields (CoefSE, confidence intervals) are left zero — use
+// Finalize or FitModel when those matter. The leverages depend on the runs
+// alone, so one O(n·p²) pass serves every response; each response's
+// coefficient refit is O(p²) and its diagnostics O(n·p).
+func (f *Fitter) Snapshot() ([]*Fit, error) {
+	if err := f.identified(); err != nil {
+		return nil, err
+	}
+	lev := make([]float64, len(f.rows))
+	for i, row := range f.rows {
+		lev[i] = f.leverage(row)
+	}
+	fits := make([]*Fit, len(f.ys))
+	for r, ys := range f.ys {
+		fits[r] = newFit(f.model, f.solve(r), f.rows, ys, lev)
+	}
+	return fits, nil
+}
+
+// Finalize refits the accumulated data of every response through one Basis
+// and returns the fits in response order. Because it hands the Basis the
+// very rows and values that were appended, each fit is bit-identical to a
+// from-scratch FitModel of the same data — the adaptive build's final
+// models carry no trace of the incremental updates.
+func (f *Fitter) Finalize() ([]*Fit, error) {
+	b, err := NewBasis(f.model, f.runs)
 	if err != nil {
 		return nil, err
 	}
-	n := f.N()
-	out := &Fit{Model: f.model, Coef: coef, N: n}
-	var mean float64
-	for _, y := range f.ys {
-		mean += y
-	}
-	mean /= float64(n)
-	out.Residuals = make([]float64, n)
-	for i, row := range f.rows {
-		e := f.ys[i] - dot(row, coef)
-		out.Residuals[i] = e
-		out.ResidualSS += e * e
-		d := f.ys[i] - mean
-		out.TotalSS += d * d
-	}
-	out.RegressionSS = out.TotalSS - out.ResidualSS
-	if out.TotalSS > 0 {
-		out.R2 = 1 - out.ResidualSS/out.TotalSS
-	} else {
-		out.R2 = 1
-	}
-	dofResid := n - f.p
-	if dofResid > 0 {
-		out.Sigma2 = out.ResidualSS / float64(dofResid)
-		out.RMSE = math.Sqrt(out.Sigma2)
-		if out.TotalSS > 0 {
-			out.AdjR2 = 1 - (out.ResidualSS/float64(dofResid))/(out.TotalSS/float64(n-1))
-		} else {
-			out.AdjR2 = 1
+	fits := make([]*Fit, len(f.ys))
+	for r, ys := range f.ys {
+		if fits[r], err = b.Fit(ys); err != nil {
+			return nil, err
 		}
-	} else {
-		out.AdjR2 = out.R2
 	}
-	out.Leverage = make([]float64, n)
-	for i, row := range f.rows {
-		h := f.leverage(row)
-		out.Leverage[i] = h
-		denom := 1 - h
-		if denom < 1e-12 {
-			denom = 1e-12
-		}
-		r := out.Residuals[i] / denom
-		out.PRESS += r * r
-	}
-	if out.TotalSS > 0 {
-		out.R2Pred = 1 - out.PRESS/out.TotalSS
-	} else {
-		out.R2Pred = 1
-	}
-	return out, nil
-}
-
-// Finalize refits the accumulated data with the batch FitModel path and
-// returns that fit. Because it hands FitModel the very rows and responses
-// that were appended, the result is bit-identical to a from-scratch batch
-// fit of the same data — the adaptive build's final model carries no trace
-// of the incremental updates.
-func (f *Fitter) Finalize() (*Fit, error) {
-	return FitModel(f.model, f.runs, f.ys)
+	return fits, nil
 }

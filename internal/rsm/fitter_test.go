@@ -1,6 +1,7 @@
 package rsm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,7 +65,7 @@ func TestFitterMatchesBatchAcrossGrid(t *testing.T) {
 	const tol = 1e-9
 	for _, tc := range equivalenceGrid(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := NewFitter(tc.m)
+			f, err := NewFitter(tc.m, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,22 +76,23 @@ func TestFitterMatchesBatchAcrossGrid(t *testing.T) {
 					t.Fatal(err)
 				}
 				if n+1 < p {
-					if _, err := f.Coef(); err == nil {
+					if _, err := f.Coef(0); err == nil {
 						t.Fatal("Coef must error before identifiability")
 					}
 					continue
 				}
-				batch, err := FitModel(tc.m, f.Runs(), f.Ys())
+				batch, err := FitModel(tc.m, f.Runs(), f.Ys(0))
 				if err != nil {
 					// A rank-deficient prefix (e.g. a CCD's corners alias
 					// the pure quadratics until the axials arrive) has no
 					// batch fit to compare against.
 					continue
 				}
-				snap, err := f.Snapshot()
+				snaps, err := f.Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
+				snap := snaps[0]
 				// Only well-posed prefixes are part of the equivalence
 				// grid: at a (near-)saturated point the ridge-stabilized
 				// incremental solve and the bare QR legitimately diverge.
@@ -133,7 +135,7 @@ func TestFitterMatchesBatchAcrossGrid(t *testing.T) {
 func TestFitterFinalizeBitIdentical(t *testing.T) {
 	for _, tc := range equivalenceGrid(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := NewFitter(tc.m)
+			f, err := NewFitter(tc.m, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,10 +146,11 @@ func TestFitterFinalizeBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			fin, err := f.Finalize()
+			fins, err := f.Finalize()
 			if err != nil {
 				t.Fatal(err)
 			}
+			fin := fins[0]
 			batch, err := FitModel(tc.m, tc.runs, ys)
 			if err != nil {
 				t.Fatal(err)
@@ -176,7 +179,7 @@ func TestFitterSnapshotLackOfFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	f, err := NewFitter(FullQuadratic(2))
+	f, err := NewFitter(FullQuadratic(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,19 +189,20 @@ func TestFitterSnapshotLackOfFit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := f.Snapshot()
+	snaps, err := f.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lofInc, err := snap.LackOfFitTest(f.Runs(), f.Ys())
+	snap := snaps[0]
+	lofInc, err := snap.LackOfFitTest(f.Runs(), f.Ys(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := FitModel(FullQuadratic(2), f.Runs(), f.Ys())
+	batch, err := FitModel(FullQuadratic(2), f.Runs(), f.Ys(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lofBatch, err := batch.LackOfFitTest(f.Runs(), f.Ys())
+	lofBatch, err := batch.LackOfFitTest(f.Runs(), f.Ys(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +215,10 @@ func TestFitterSnapshotLackOfFit(t *testing.T) {
 }
 
 func TestFitterValidation(t *testing.T) {
-	if _, err := NewFitter(Model{K: 0}); err == nil {
+	if _, err := NewFitter(Model{K: 0}, 1); err == nil {
 		t.Fatal("bad model must be rejected")
 	}
-	f, err := NewFitter(Linear(2))
+	f, err := NewFitter(Linear(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestFitterValidation(t *testing.T) {
 	if err := f.AppendRows([][]float64{{0, 0}, {1, 0}, {0, 1}}, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Coef(); err != nil {
+	if _, err := f.Coef(0); err != nil {
 		t.Fatal(err)
 	}
 	if f.Model().K != 2 || f.N() != 3 {
@@ -280,5 +284,122 @@ func TestPRESSMatchesLiteralLeaveOneOut(t *testing.T) {
 	}
 	if math.Abs(fit.R2Pred-(1-press/fit.TotalSS)) > 1e-8 {
 		t.Fatalf("R²-pred %v inconsistent with PRESS", fit.R2Pred)
+	}
+}
+
+// TestSharedFitterMatchesSingleResponseFitters pins the adaptive build's
+// shared fitter: one Fitter over six responses, fed round by round, yields
+// snapshots and final fits bit-identical to six one-response fitters fed
+// point by point, over several random designs.
+func TestSharedFitterMatchesSingleResponseFitters(t *testing.T) {
+	cands, err := doe.CandidateLattice(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := FullQuadratic(3)
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			runs := make([][]float64, 40)
+			for i := range runs {
+				runs[i] = cands.Runs[rng.Intn(cands.N())]
+			}
+			ys := randomResponses(runs, seed)
+			shared, err := NewFitter(m, len(ys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			singles := make([]*Fitter, len(ys))
+			for r := range singles {
+				if singles[r], err = NewFitter(m, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			compared := 0
+			for lo := 0; lo < len(runs); {
+				hi := min(lo+1+rng.Intn(6), len(runs))
+				cols := make([][]float64, len(ys))
+				for r := range ys {
+					cols[r] = ys[r][lo:hi]
+				}
+				if err := shared.AppendRows(runs[lo:hi], cols...); err != nil {
+					t.Fatal(err)
+				}
+				for i := lo; i < hi; i++ {
+					for r, f := range singles {
+						if err := f.Append(runs[i], ys[r][i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				lo = hi
+				got, gerr := shared.Snapshot()
+				for r, f := range singles {
+					want, werr := f.Snapshot()
+					if (gerr == nil) != (werr == nil) {
+						t.Fatalf("n=%d: shared snapshot error %v, single %v", lo, gerr, werr)
+					}
+					if werr != nil {
+						if gerr.Error() != werr.Error() {
+							t.Fatalf("n=%d: error %q, want %q", lo, gerr, werr)
+						}
+						continue
+					}
+					sameFit(t, fmt.Sprintf("n=%d snapshot %d", lo, r), got[r], want[0], nil)
+					compared++
+				}
+			}
+			if compared == 0 {
+				t.Fatal("no snapshot compared")
+			}
+			got, err := shared.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes := [][]float64{{0, 0, 0}, {0.3, -0.8, 0.5}}
+			for r, f := range singles {
+				want, err := f.Finalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameFit(t, fmt.Sprintf("finalize %d", r), got[r], want[0], probes)
+				batch, err := FitModel(m, runs, ys[r])
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameFit(t, fmt.Sprintf("finalize %d vs FitModel", r), got[r], batch, probes)
+			}
+		})
+	}
+}
+
+// TestFitterAppendChecksEveryResponseFirst: a bad value in any response
+// leaves the shared factor untouched.
+func TestFitterAppendChecksEveryResponseFirst(t *testing.T) {
+	f, err := NewFitter(Linear(2), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Append([]float64{0, 0}, 1, 2, math.Inf(1)); err == nil {
+		t.Fatal("non-finite third response must be rejected")
+	}
+	if err := f.Append([]float64{0, 0}, 1, 2); err == nil {
+		t.Fatal("missing response value must be rejected")
+	}
+	runs := [][]float64{{0, 0}, {1, 0}, {0, 1}}
+	if err := f.AppendRows(runs, []float64{1, 2, 3}, []float64{1, 2, 3}, []float64{1, math.NaN(), 3}); err == nil {
+		t.Fatal("NaN in the last column must be rejected")
+	}
+	if f.N() != 0 || len(f.Ys(0)) != 0 {
+		t.Fatalf("rejected appends changed the fitter: n=%d", f.N())
+	}
+	if _, err := NewFitter(Linear(2), 0); err == nil {
+		t.Fatal("a fitter with no responses must be rejected")
+	}
+	if err := f.AppendRows(runs, []float64{1, 2, 3}, []float64{4, 5, 6}, []float64{7, 8, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if f.N() != 3 || f.Ys(2)[1] != 8 {
+		t.Fatal("accessors wrong")
 	}
 }

@@ -249,7 +249,7 @@ type BuildRequest struct {
 	// Engine selects the simulation engine for the build's design runs:
 	// "fast" (default; "batch" is an accepted synonym) or "reference".
 	// Local fast builds run through the lockstep executor either way. The
-	// cluster pool only accepts "fast". Unknown values are rejected with
+	// cluster pool rejects "reference". Unknown values are rejected with
 	// code bad_field.
 	Engine string `json:"engine,omitempty"`
 	// TimeoutS bounds the whole build in seconds; 0 means the server

@@ -119,8 +119,9 @@ func TestBuildEngineBatch(t *testing.T) {
 }
 
 // TestEngineFieldValidation pins the typed engine contract: unknown values
-// are rejected with code bad_field on both endpoints, and the cluster pool
-// refuses non-fast engines.
+// are rejected with code bad_field on both endpoints, the cluster pool
+// refuses the reference engine, and it runs a build under the batch
+// synonym of fast, echoing "batch" in the job view.
 func TestEngineFieldValidation(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	srv.Registry().Set("m", fixture(t))
@@ -145,14 +146,36 @@ func TestEngineFieldValidation(t *testing.T) {
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v1/build", BuildRequest{
-		Model: "x", Pool: PoolCluster, Engine: EngineBatch,
+		Model: "x", Pool: PoolCluster, Engine: EngineReference,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("cluster+batch build: %d %s", resp.StatusCode, body)
+		t.Fatalf("cluster+reference build: %d %s", resp.StatusCode, body)
 	}
 	unmarshal(t, body, &eb)
 	if eb.Code != codeInvalidRequest || !strings.Contains(eb.Error, "only runs engine") {
-		t.Fatalf("cluster+batch rejection: %s", body)
+		t.Fatalf("cluster+reference rejection: %s", body)
+	}
+
+	fleet, fts := newTestServer(t, Config{QueueCap: 4, Problem: fleetProblem, Cluster: fastFleet()})
+	_, errc := startFleetWorker(t, fts.URL, "fw-batch", fleetProblem)
+	waitFleet(t, fleet.Coordinator(), 1)
+	job := fleetBuild(t, fts.URL, BuildRequest{
+		Model: "x", Design: "ccf", Horizon: 2, Seed: 1, Pool: PoolCluster, Engine: EngineBatch,
+	})
+	if job.Engine != EngineBatch {
+		t.Fatalf("accepted cluster+batch job reports engine %q", job.Engine)
+	}
+	if done := pollJob(t, fts.URL, job.ID); done.State != string(JobDone) || done.Engine != EngineBatch {
+		t.Fatalf("cluster+batch build: %+v", done)
+	}
+	fleet.Shutdown(2 * time.Second)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("worker did not drain cleanly: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never exited after shutdown")
 	}
 }
 

@@ -269,9 +269,10 @@ func (m *JobManager) Submit(ctx context.Context, req BuildRequest) (JobView, err
 		if m.cluster == nil {
 			return JobView{}, fmt.Errorf("serve: pool %q: this server has no cluster coordinator", req.Pool)
 		}
-		if req.Engine != EngineFast {
-			// The worker fleet runs the fast engine only; a silent engine
-			// switch would misreport what was simulated.
+		if req.Engine == EngineReference {
+			// The worker fleet runs the fast engine (or its synonym batch)
+			// only; a silent engine switch would misreport what was
+			// simulated.
 			return JobView{}, fmt.Errorf("serve: pool %q only runs engine %q, not %q", req.Pool, EngineFast, req.Engine)
 		}
 		if m.cluster.LiveWorkers() == 0 {
