@@ -21,7 +21,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"os"
 	"strconv"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/opt"
 	"repro/internal/report"
 	"repro/internal/simcache"
 )
@@ -52,9 +50,9 @@ func main() {
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
 	case "optimize":
-		err = cmdOptimize(os.Args[2:])
+		_, err = cmdOptimize(os.Args[2:])
 	case "validate":
-		err = cmdValidate(os.Args[2:])
+		_, err = cmdValidate(os.Args[2:])
 	case "anova":
 		err = cmdANOVA(os.Args[2:])
 	case "-h", "--help", "help":
@@ -289,21 +287,15 @@ func parsePoint(ss *core.SavedSurfaces, spec string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad value in %q: %w", kv, err)
 		}
-		found := false
-		for i, f := range ss.Factors {
-			if f.Name == parts[0] {
-				if seen[i] {
-					return nil, fmt.Errorf("factor %q given twice", f.Name)
-				}
-				nat[i] = v
-				seen[i] = true
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := ss.FactorIndex(parts[0])
+		if i < 0 {
 			return nil, fmt.Errorf("unknown factor %q", parts[0])
 		}
+		if seen[i] {
+			return nil, fmt.Errorf("factor %q given twice", parts[0])
+		}
+		nat[i] = v
+		seen[i] = true
 	}
 	return nat, nil
 }
@@ -354,13 +346,7 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	fi := -1
-	for i, f := range ss.Factors {
-		if f.Name == *factor {
-			fi = i
-			break
-		}
-	}
+	fi := ss.FactorIndex(*factor)
 	if fi < 0 {
 		return fmt.Errorf("unknown factor %q", *factor)
 	}
@@ -373,15 +359,9 @@ func cmdSweep(args []string) error {
 	}
 	id := core.ResponseID(*response)
 	f := ss.Factors[fi]
-	var xs, ys []float64
-	for i := 0; i < *points; i++ {
-		nat[fi] = f.Min + float64(i)/float64(*points-1)*(f.Max-f.Min)
-		v, err := ss.PredictNatural(id, nat)
-		if err != nil {
-			return err
-		}
-		xs = append(xs, nat[fi])
-		ys = append(ys, v)
+	xs, ys, err := ss.Sweep(id, fi, nat, *points)
+	if err != nil {
+		return err
 	}
 	fig := report.NewFigure(fmt.Sprintf("sweep of %s over %s", *response, f.Name), f.Name+"_"+f.Unit, *response)
 	if err := fig.Add(string(id), xs, ys); err != nil {
@@ -391,7 +371,10 @@ func cmdSweep(args []string) error {
 	return nil
 }
 
-func cmdOptimize(args []string) error {
+// cmdOptimize prints the surface optimum of one response, found by the
+// same search as POST /v1/optimize with its default 6 starts, and returns
+// it.
+func cmdOptimize(args []string) (*core.SurfaceOptimum, error) {
 	fs := flag.NewFlagSet("optimize", flag.ExitOnError)
 	model := fs.String("model", "surfaces.json", "saved surfaces file")
 	response := fs.String("response", string(core.RespPackets), "response to optimize")
@@ -403,68 +386,49 @@ func cmdOptimize(args []string) error {
 	withResilience := resilienceFlags(fs)
 	withObs := obsFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	ctx, err := withObs()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ss, err := loadModel(*model)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	id := core.ResponseID(*response)
 	if _, ok := ss.Coef[id]; !ok {
-		return fmt.Errorf("model has no response %q", id)
+		return nil, fmt.Errorf("model has no response %q", id)
 	}
-	obj := func(x []float64) float64 {
-		v, err := ss.Predict(id, x)
-		if err != nil {
-			return 0
-		}
-		if *minimize {
-			return v
-		}
-		return -v
-	}
-	bounds := opt.NewBounds(len(ss.Factors))
-	rng := rand.New(rand.NewSource(*seed))
-	var best *opt.Result
-	for i := 0; i < 6; i++ {
-		r, err := opt.NelderMead(obj, bounds, bounds.Random(rng), opt.NelderMeadConfig{MaxIters: 500})
-		if err != nil {
-			return err
-		}
-		if best == nil || r.F < best.F {
-			best = r
-		}
-	}
-	pred, err := ss.Predict(id, best.X)
+	best, err := ss.Optimize(id, !*minimize, 6, *seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := report.NewTable("optimum", "factor", "natural", "coded")
 	for i, f := range ss.Factors {
-		t.AddRow(f.Name, f.Decode(best.X[i]), best.X[i])
+		t.AddRow(f.Name, best.Natural[i], best.Coded[i])
 	}
-	t.AddNote("predicted %s = %.5g (%d surface evaluations)", id, pred, best.Evals)
+	t.AddNote("predicted %s = %.5g (%d surface evaluations)", id, best.Predicted, best.Evals)
 	if *confirm {
 		p := problem(*amp, ss.Horizon)
 		withCache(p)
 		if err := withResilience(p); err != nil {
-			return err
+			return nil, err
 		}
-		resp, err := p.ResponsesAt(ctx, best.X)
+		resp, err := p.ResponsesAt(ctx, best.Coded)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		t.AddNote("confirmed by simulation: %s = %.5g", id, resp[id])
 	}
 	fmt.Println(t.String())
-	return nil
+	return best, nil
 }
 
-func cmdValidate(args []string) error {
+// cmdValidate prints how well the saved surfaces predict fresh
+// simulations of the problem they were built on, scoring the responses
+// both produce, and returns the report.
+func cmdValidate(args []string) (*core.ValidationReport, error) {
 	fs := flag.NewFlagSet("validate", flag.ExitOnError)
 	model := fs.String("model", "surfaces.json", "saved surfaces file")
 	n := fs.Int("n", 10, "number of fresh validation simulations")
@@ -474,55 +438,32 @@ func cmdValidate(args []string) error {
 	withResilience := resilienceFlags(fs)
 	withObs := obsFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	ctx, err := withObs()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ss, err := loadModel(*model)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	p := problem(*amp, ss.Horizon)
 	withCache(p)
 	if err := withResilience(p); err != nil {
-		return err
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(*seed))
+	rep, err := ss.Validate(ctx, p, *n, *seed)
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable(fmt.Sprintf("validation at %d fresh points", *n),
 		"response", "mean_abs_err", "max_abs_err")
-	sums := map[core.ResponseID]float64{}
-	maxs := map[core.ResponseID]float64{}
-	for i := 0; i < *n; i++ {
-		x := make([]float64, len(ss.Factors))
-		for j := range x {
-			x[j] = rng.Float64()*2 - 1
-		}
-		resp, err := p.ResponsesAt(ctx, x)
-		if err != nil {
-			return err
-		}
-		for _, id := range ss.Responses() {
-			pred, err := ss.Predict(id, x)
-			if err != nil {
-				return err
-			}
-			e := pred - resp[id]
-			if e < 0 {
-				e = -e
-			}
-			sums[id] += e
-			if e > maxs[id] {
-				maxs[id] = e
-			}
-		}
-	}
-	for _, id := range ss.Responses() {
-		t.AddRow(string(id), sums[id]/float64(*n), maxs[id])
+	for _, row := range rep.Rows {
+		t.AddRow(string(row.Response), row.MeanAbsErr, row.MaxAbsErr)
 	}
 	fmt.Println(t.String())
-	return nil
+	return rep, nil
 }
 
 func cmdANOVA(args []string) error {

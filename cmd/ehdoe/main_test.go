@@ -1,12 +1,23 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/rsm"
+	"repro/internal/serve"
 )
 
 // TestPipeline drives every subcommand end to end against a real (small)
@@ -30,10 +41,10 @@ func TestPipeline(t *testing.T) {
 	if err := cmdSweep([]string{"-model", model, "-response", "packets", "-factor", "period", "-points", "5"}); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	if err := cmdOptimize([]string{"-model", model, "-response", "stored_energy_J"}); err != nil {
+	if _, err := cmdOptimize([]string{"-model", model, "-response", "stored_energy_J"}); err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
-	if err := cmdValidate([]string{"-model", model, "-n", "2"}); err != nil {
+	if _, err := cmdValidate([]string{"-model", model, "-n", "2"}); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
 	if err := cmdANOVA([]string{"-model", model, "-response", "stored_energy_J"}); err != nil {
@@ -113,10 +124,125 @@ func TestOptimizeUnknownResponse(t *testing.T) {
 	if err := cmdBuild([]string{"-horizon", "10", "-out", model}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdOptimize([]string{"-model", model, "-response", "nope"}); err == nil {
+	if _, err := cmdOptimize([]string{"-model", model, "-response", "nope"}); err == nil {
 		t.Fatal("unknown response must fail")
 	}
 	if err := cmdANOVA([]string{"-model", model, "-response", "nope"}); err == nil {
 		t.Fatal("unknown response must fail")
+	}
+}
+
+// smallModel builds a CCF model at a short horizon into a temp file and
+// returns its path and contents.
+func smallModel(t *testing.T) (string, *core.SavedSurfaces) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.json")
+	if err := cmdBuild([]string{"-horizon", "3", "-out", path}); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := loadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, ss
+}
+
+func writeModel(t *testing.T, ss *core.SavedSurfaces) string {
+	t.Helper()
+	data, err := ss.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestValidateScoresSharedResponses: a response the problem never
+// simulates (final_store_V here) is left out of the validation table
+// instead of being scored against 0.
+func TestValidateScoresSharedResponses(t *testing.T) {
+	_, ss := smallModel(t)
+	ss.Coef[core.RespFinalStoreV] = ss.Coef[core.RespStoredEnergy]
+	ss.R2[core.RespFinalStoreV] = 1
+	rep, err := cmdValidate([]string{"-model", writeModel(t, ss), "-n", "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, row := range rep.Rows {
+		got = append(got, string(row.Response))
+	}
+	want := []string{}
+	for _, id := range core.StandardProblem(0.6, 3).Responses {
+		want = append(want, string(id))
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("validated %v, want %v", got, want)
+	}
+}
+
+// TestValidateRejectsFactorMismatch: a 3-factor model cannot be validated
+// against the 4-factor standard problem.
+func TestValidateRejectsFactorMismatch(t *testing.T) {
+	_, ss := smallModel(t)
+	m := rsm.FullQuadratic(3)
+	three := &core.SavedSurfaces{Factors: ss.Factors[:3], Horizon: 3,
+		Coef: map[core.ResponseID][]float64{core.RespStoredEnergy: make([]float64, m.P())}}
+	for _, term := range m.Terms {
+		three.Terms = append(three.Terms, term.Powers)
+	}
+	_, err := cmdValidate([]string{"-model", writeModel(t, three), "-n", "2"})
+	if !errors.Is(err, core.ErrModelMismatch) {
+		t.Fatalf("err = %v, want a model mismatch", err)
+	}
+}
+
+// TestOptimizeMatchesAPI: ehdoe optimize and POST /v1/optimize run one
+// search, so the same model and seed give bit-identical optima,
+// predictions and evaluation counts.
+func TestOptimizeMatchesAPI(t *testing.T) {
+	path, ss := smallModel(t)
+	srv, err := serve.New(serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(time.Second)
+	srv.Registry().Set("m", ss)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, seed := range []int64{1, 7, 99} {
+		for _, minimize := range []bool{false, true} {
+			args := []string{"-model", path, "-response", "stored_energy_J", "-seed", strconv.FormatInt(seed, 10)}
+			if minimize {
+				args = append(args, "-min")
+			}
+			cli, err := cmdOptimize(args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := json.Marshal(serve.OptimizeRequest{Model: "m", Response: "stored_energy_J", Minimize: minimize, Seed: seed})
+			resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var api serve.OptimizeResponse
+			err = json.NewDecoder(resp.Body).Decode(&api)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := cli.Evals == api.Evals && math.Float64bits(cli.Predicted) == math.Float64bits(api.Predicted)
+			for i := range cli.Coded {
+				same = same && math.Float64bits(cli.Coded[i]) == math.Float64bits(api.Coded[i])
+			}
+			if !same {
+				t.Fatalf("seed %d min=%v: CLI %v %v (%d evals), API %v %v (%d evals)",
+					seed, minimize, cli.Coded, cli.Predicted, cli.Evals, api.Coded, api.Predicted, api.Evals)
+			}
+		}
 	}
 }

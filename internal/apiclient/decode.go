@@ -25,8 +25,8 @@ func (e *DecodeError) Unwrap() error { return e.Err }
 
 // DecodeRequest is the one decode rule for the JSON request bodies the
 // repo's servers accept: the ehdoed v1 surface, the cluster work protocol
-// on both of its mounts (serve's and Coordinator.Handler()), and the
-// peer-cache protocol. The body must hold exactly one JSON value, decoded
+// (Coordinator.Handler(), which ehdoed mounts) and the peer-cache
+// protocol. The body must hold exactly one JSON value, decoded
 // into v with unknown fields rejected, so a typo or a newer client's field
 // fails loudly instead of silently defaulting. Any rejection is a
 // *DecodeError: CodeBadField for an unknown field, CodeInvalidRequest for

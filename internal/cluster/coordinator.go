@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -309,7 +310,7 @@ func (c *Coordinator) rebuildShardsLocked() {
 	if c.shardMap == nil && len(ids) == 0 {
 		return // no peer-capable worker has ever joined; nothing to publish
 	}
-	if c.shardMap != nil && slicesEqual(ids, c.shardIDs) {
+	if c.shardMap != nil && slices.Equal(ids, c.shardIDs) {
 		return
 	}
 	gen := uint64(1)
@@ -328,18 +329,6 @@ func (c *Coordinator) rebuildShardsLocked() {
 		Peers:      peers,
 	}
 	c.log.Info("shard map rebuilt", "generation", gen, "members", len(ids), "shards", c.cfg.Shards)
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // mapIfNewerLocked returns the published map when it is ahead of the

@@ -10,11 +10,15 @@ import (
 	"repro/internal/apiclient"
 )
 
-// Handler mounts the work protocol on a plain mux — what tests and
-// cmd/bench use to stand up a coordinator without the full serve stack.
-// internal/serve mounts the same methods through its own instrumented
-// endpoint table instead, so production traffic gets the uniform
-// envelope, metrics and access logs.
+// CodeProtoMismatch is the envelope code of a request carrying another
+// protocol version than ProtoVersion, answered with HTTP 400.
+const CodeProtoMismatch = "proto_mismatch"
+
+// Handler is the one HTTP implementation of the work protocol: the routes
+// under /v1/cluster/. internal/serve routes each of them here through its
+// instrumented endpoint table, which adds trace IDs, metrics and access
+// logs; tests, cmd/bench and cmd/simnode's tests serve it bare. Rejected
+// requests get the v1 error envelope, {"error": …, "code": …}, under 400.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathRegister, func(w http.ResponseWriter, r *http.Request) {
@@ -67,8 +71,8 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // decodeBody decodes a protocol request under apiclient.DecodeRequest, the
-// decode rule serve's mount of the same protocol applies, and answers a
-// rejected body with the same status and code.
+// decode rule of every v1 request body, and answers a rejected body with
+// 400 and the rule's code.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := apiclient.DecodeRequest(http.MaxBytesReader(w, r.Body, 8<<20), v); err != nil {
 		var de *apiclient.DecodeError
@@ -83,7 +87,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // the typed proto_mismatch code.
 func checkProto(w http.ResponseWriter, v Versioned) bool {
 	if err := CheckProto(v); err != nil {
-		httpError(w, http.StatusBadRequest, "proto_mismatch", err)
+		httpError(w, http.StatusBadRequest, CodeProtoMismatch, err)
 		return false
 	}
 	return true
@@ -97,7 +101,10 @@ func encodeBody(w http.ResponseWriter, v any) {
 func httpError(w http.ResponseWriter, status int, code string, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error(), "code": code})
+	json.NewEncoder(w).Encode(struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}{err.Error(), code})
 }
 
 // Client dials a coordinator's work protocol — the worker side of the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ import (
 func TestAssignShardsDeterministic(t *testing.T) {
 	a := assignShards([]string{"w-a", "w-b", "w-c"}, DefaultShards)
 	b := assignShards([]string{"w-c", "w-a", "w-b"}, DefaultShards)
-	if !slicesEqual(a, b) {
+	if !slices.Equal(a, b) {
 		t.Fatal("assignment depends on member order")
 	}
 	counts := map[string]int{}

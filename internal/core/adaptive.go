@@ -34,6 +34,28 @@ func FixedEquivalentPoints(k int) int { return 1<<uint(k) + 2*k + 3 }
 // there, and little on k=4.
 const adaptiveMaxPasses = 4
 
+// The stopping rule's gates. A round's lack of fit is adequate when the
+// F-test fails to reject it at lackAlpha (when the test is defined), or
+// when LackSS ≤ lackFraction·TotalSS. The relative bound is the
+// deterministic simulator's escape hatch: bit-identical replicates make
+// pure error exactly zero, so the F-test degenerates to "any lack is
+// infinitely significant" and the unexplained systematic fraction has to
+// stand in. Lack also counts as adequate once it improves by less than
+// lackTol between rounds — the surface is as adequate as the polynomial
+// basis will get. The loop then stops once a round improves the
+// worst-case adjusted R² by less than adjR2Tol and the worst-case
+// R²-pred by less than r2PredTol. R²-pred (= 1 − PRESS/TotalSS) is the
+// scale-free form of PRESS: raw PRESS grows with every appended point
+// simply because TotalSS does, so a threshold on it would chase its own
+// tail and never fire.
+const (
+	lackAlpha    = 0.05
+	lackFraction = 0.02
+	lackTol      = 0.005
+	adjR2Tol     = 0.02
+	r2PredTol    = 0.1
+)
+
 // AdaptiveConfig tunes the sequential build loop. The zero value picks
 // defaults suitable for the full-quadratic models the toolkit fits; the
 // model, worker count and executor come from the BuildSpec.
@@ -56,28 +78,6 @@ type AdaptiveConfig struct {
 	// reference count, so an adaptive build never costs more than fixed).
 	MinPoints int
 	MaxPoints int
-	// Alpha is the lack-of-fit significance level (default 0.05): the
-	// F-test must fail to reject adequacy, when it is defined.
-	Alpha float64
-	// LackFraction accepts adequacy when LackSS ≤ LackFraction·TotalSS.
-	// This is the deterministic-simulator escape hatch: bit-identical
-	// replicates make pure error exactly zero, so the F-test degenerates to
-	// "any lack is infinitely significant" and a relative lack bound has to
-	// stand in (default 0.02 — the unexplained systematic fraction).
-	LackFraction float64
-	// LackTol additionally accepts adequacy when the lack fraction improved
-	// by less than this between rounds — the surface is as adequate as the
-	// polynomial basis will get (default 0.005).
-	LackTol float64
-	// AdjR2Tol and PRESSTol are the improvement thresholds of the stopping
-	// rule: stop once a round improves the worst-case adjusted R² by less
-	// than AdjR2Tol (default 0.02) and the worst-case PRESS-based R²-pred by
-	// less than PRESSTol (default 0.1). R²-pred (= 1 − PRESS/TotalSS) is the
-	// scale-free form of PRESS: raw PRESS grows with every appended point
-	// simply because TotalSS does, so a threshold on it would chase its own
-	// tail and never fire.
-	AdjR2Tol float64
-	PRESSTol float64
 	// Seed feeds the initial D-optimal selection.
 	Seed int64
 }
@@ -109,21 +109,6 @@ func (c *AdaptiveConfig) setDefaults(k int, model rsm.Model) {
 	}
 	if c.MaxPoints < c.MinPoints {
 		c.MaxPoints = c.MinPoints
-	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = 0.05
-	}
-	if c.LackFraction <= 0 {
-		c.LackFraction = 0.02
-	}
-	if c.LackTol <= 0 {
-		c.LackTol = 0.005
-	}
-	if c.AdjR2Tol <= 0 {
-		c.AdjR2Tol = 0.02
-	}
-	if c.PRESSTol <= 0 {
-		c.PRESSTol = 0.1
 	}
 }
 
@@ -254,7 +239,7 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 
 	// quality evaluates the current incremental fits against the stopping
 	// gates.
-	quality := func(cfgAlpha float64) (*roundQuality, error) {
+	quality := func() (*roundQuality, error) {
 		q := &roundQuality{
 			minR2: math.Inf(1), minAdjR2: math.Inf(1), minR2Pred: math.Inf(1),
 			worstLackP: math.Inf(1), lofOK: true,
@@ -293,7 +278,7 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 				if !math.IsNaN(lof.P) {
 					anyLackP = true
 					q.worstLackP = math.Min(q.worstLackP, lof.P)
-					lofPass = lof.P >= cfgAlpha
+					lofPass = lof.P >= lackAlpha
 				}
 			} else if snap.TotalSS > 0 {
 				// No replication (or DoF exhausted): the F-test is
@@ -301,7 +286,7 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 				lackFrac = snap.ResidualSS / snap.TotalSS
 			}
 			q.worstLackFrac = math.Max(q.worstLackFrac, lackFrac)
-			if !lofPass && lackFrac > cfg.LackFraction {
+			if !lofPass && lackFrac > lackFraction {
 				q.lofOK = false
 			}
 		}
@@ -343,7 +328,7 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 		if err != nil {
 			return fail(err)
 		}
-		cur, err := quality(cfg.Alpha)
+		cur, err := quality()
 		if err != nil {
 			return fail(err)
 		}
@@ -362,7 +347,7 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 			stats.StopReason = StopMaxPoints
 			break
 		}
-		if prev != nil && cum.Design.N() >= cfg.MinPoints && converged(prev, cur, &cfg) {
+		if prev != nil && cum.Design.N() >= cfg.MinPoints && converged(prev, cur) {
 			stats.StopReason = StopConverged
 			break
 		}
@@ -383,19 +368,19 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 }
 
 // converged applies the stopping rule: every response's lack of fit is
-// acceptable (F-test not significant, relative lack below LackFraction, or
-// lack no longer improving by LackTol) AND the round's improvement in both
+// acceptable (F-test not significant, relative lack below lackFraction, or
+// lack no longer improving by lackTol) AND the round's improvement in both
 // worst-case adjusted R² and worst-case PRESS-based R²-pred is below
 // threshold.
-func converged(prev, cur *roundQuality, cfg *AdaptiveConfig) bool {
-	lofOK := cur.lofOK || (prev.worstLackFrac-cur.worstLackFrac) < cfg.LackTol
+func converged(prev, cur *roundQuality) bool {
+	lofOK := cur.lofOK || (prev.worstLackFrac-cur.worstLackFrac) < lackTol
 	if !lofOK {
 		return false
 	}
-	if cur.minAdjR2-prev.minAdjR2 >= cfg.AdjR2Tol {
+	if cur.minAdjR2-prev.minAdjR2 >= adjR2Tol {
 		return false
 	}
-	if cur.minR2Pred-prev.minR2Pred >= cfg.PRESSTol {
+	if cur.minR2Pred-prev.minR2Pred >= r2PredTol {
 		return false
 	}
 	return true

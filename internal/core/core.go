@@ -18,6 +18,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -332,14 +333,43 @@ func (s *Surfaces) Evaluator(id ResponseID) (explore.Evaluator, error) {
 	return fit.Predict, nil
 }
 
-// OptimizeResult is a surface optimum confirmed by one simulation.
-type OptimizeResult struct {
+// SurfaceOptimum is the best point a multi-start search found on one
+// fitted surface.
+type SurfaceOptimum struct {
 	Coded     []float64
 	Natural   []float64
 	Predicted float64 // surface prediction at the optimum
+	Evals     int     // surface evaluations spent by the search, all starts together
+}
+
+// OptimizeResult is a surface optimum confirmed by one simulation.
+type OptimizeResult struct {
+	SurfaceOptimum
 	Confirmed float64 // simulated value at the optimum (the one-run check)
 	RelError  float64 // |pred − conf| / max(|conf|, tiny)
-	Evals     int     // surface evaluations spent by the optimizer
+}
+
+// surfaceSearch is the Nelder–Mead budget of every start of a surface
+// optimization.
+var surfaceSearch = opt.NelderMeadConfig{MaxIters: 400}
+
+// optimum is the one surface optimization: multi-start Nelder–Mead over
+// the coded box of factors, minimizing pred, or maximizing it when
+// maximize is set.
+func optimum(factors []doe.Factor, pred opt.Objective, maximize bool, starts int, seed int64) (*SurfaceOptimum, error) {
+	obj := pred
+	if maximize {
+		obj = opt.Maximize(pred)
+	}
+	best, evals, err := opt.MultiStart(obj, opt.NewBounds(len(factors)), starts, seed, surfaceSearch)
+	if err != nil {
+		return nil, err
+	}
+	natural, err := doe.DecodeRun(factors, best.X)
+	if err != nil {
+		return nil, err
+	}
+	return &SurfaceOptimum{Coded: best.X, Natural: natural, Predicted: pred(best.X), Evals: evals}, nil
 }
 
 // Optimize maximizes (or minimizes) a response on its surface with
@@ -350,46 +380,19 @@ func (s *Surfaces) Optimize(ctx context.Context, id ResponseID, maximize bool, s
 	if !ok {
 		return nil, fmt.Errorf("core: no surface for %q", id)
 	}
-	if starts < 1 {
-		starts = 1
+	best, err := optimum(s.Problem.Factors, fit.Predict, maximize, starts, seed)
+	if err != nil {
+		return nil, err
 	}
-	obj := opt.Objective(fit.Predict)
-	if maximize {
-		obj = opt.Maximize(obj)
-	}
-	b := opt.NewBounds(len(s.Problem.Factors))
-	rng := rand.New(rand.NewSource(seed))
-	var best *opt.Result
-	evals := 0
-	for i := 0; i < starts; i++ {
-		x0 := b.Random(rng)
-		r, err := opt.NelderMead(obj, b, x0, opt.NelderMeadConfig{MaxIters: 400})
-		if err != nil {
-			return nil, err
-		}
-		evals += r.Evals
-		if best == nil || r.F < best.F {
-			best = r
-		}
-	}
-	pred := fit.Predict(best.X)
-	resp, err := s.Problem.ResponsesAt(ctx, best.X)
+	resp, err := s.Problem.ResponsesAt(ctx, best.Coded)
 	if err != nil {
 		return nil, err
 	}
 	conf := resp[id]
-	natural, err := doe.DecodeRun(s.Problem.Factors, best.X)
-	if err != nil {
-		return nil, err
-	}
-	denom := math.Max(math.Abs(conf), 1e-12)
 	return &OptimizeResult{
-		Coded:     best.X,
-		Natural:   natural,
-		Predicted: pred,
-		Confirmed: conf,
-		RelError:  math.Abs(pred-conf) / denom,
-		Evals:     evals,
+		SurfaceOptimum: *best,
+		Confirmed:      conf,
+		RelError:       math.Abs(best.Predicted-conf) / math.Max(math.Abs(conf), 1e-12),
 	}, nil
 }
 
@@ -411,70 +414,89 @@ type ValidationReport struct {
 	RSMTime time.Duration // total surface-evaluation time for the same points
 }
 
+// ErrValidationAborted marks a validation whose context ended before all
+// its points were simulated.
+var ErrValidationAborted = errors.New("validation aborted")
+
 // Validate draws n uniform random coded points, simulates each, and
 // compares every response surface's prediction against the simulation —
 // reproduction table R-T3's generator.
 func (s *Surfaces) Validate(ctx context.Context, n int, seed int64) (*ValidationReport, error) {
+	checks := make([]surfaceCheck, len(s.Problem.Responses))
+	for i, id := range s.Problem.Responses {
+		fit := s.Fits[id]
+		checks[i] = surfaceCheck{id: id, predict: fit.Predict, r2: fit.R2}
+	}
+	return s.Problem.validate(ctx, checks, n, seed)
+}
+
+// surfaceCheck is one response a validation scores: its surface and the
+// R² of its fit.
+type surfaceCheck struct {
+	id      ResponseID
+	predict func(coded []float64) float64
+	r2      float64
+}
+
+// validate is the one validation loop: it draws n uniform random coded
+// points from seed, simulates each on p, and scores every check's surface
+// against the simulated response. A context that ends stops it before the
+// next simulation with ErrValidationAborted; a failed simulation is
+// reported with its point index.
+func (p *Problem) validate(ctx context.Context, checks []surfaceCheck, n int, seed int64) (*ValidationReport, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: need ≥1 validation point, got %d", n)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	k := len(s.Problem.Factors)
-	points := make([][]float64, n)
-	for i := range points {
-		x := make([]float64, k)
+	x := make([]float64, len(p.Factors))
+	sums := make([]float64, len(checks))
+	maxs := make([]float64, len(checks))
+	lo := make([]float64, len(checks))
+	hi := make([]float64, len(checks))
+	rep := &ValidationReport{N: n}
+	for i := 0; i < n; i++ {
 		for j := range x {
 			x[j] = rng.Float64()*2 - 1
 		}
-		points[i] = x
-	}
-	simVals := make(map[ResponseID][]float64, len(s.Problem.Responses))
-	startSim := time.Now()
-	for _, x := range points {
-		resp, err := s.Problem.ResponsesAt(ctx, x)
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrValidationAborted, err)
+		}
+		start := time.Now()
+		sim, err := p.ResponsesAt(ctx, x)
+		rep.SimTime += time.Since(start)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("simulation %d failed: %w", i, err)
 		}
-		for _, id := range s.Problem.Responses {
-			simVals[id] = append(simVals[id], resp[id])
+		start = time.Now()
+		for c, chk := range checks {
+			y := sim[chk.id]
+			e := math.Abs(chk.predict(x) - y)
+			sums[c] += e
+			if e > maxs[c] {
+				maxs[c] = e
+			}
+			if i == 0 || y < lo[c] {
+				lo[c] = y
+			}
+			if i == 0 || y > hi[c] {
+				hi[c] = y
+			}
 		}
+		rep.RSMTime += time.Since(start)
 	}
-	simTime := time.Since(startSim)
-
-	rep := &ValidationReport{N: n, SimTime: simTime}
-	startRSM := time.Now()
-	for _, id := range s.Problem.Responses {
-		fit := s.Fits[id]
-		sims := simVals[id]
-		mn, mx := sims[0], sims[0]
-		var sumAbs, maxAbs float64
-		for i, x := range points {
-			pred := fit.Predict(x)
-			e := math.Abs(pred - sims[i])
-			sumAbs += e
-			if e > maxAbs {
-				maxAbs = e
-			}
-			if sims[i] < mn {
-				mn = sims[i]
-			}
-			if sims[i] > mx {
-				mx = sims[i]
-			}
-		}
-		rng := mx - mn
-		if rng <= 0 {
-			rng = math.Max(math.Abs(mx), 1e-12)
+	for c, chk := range checks {
+		span := hi[c] - lo[c]
+		if span <= 0 {
+			span = math.Max(math.Abs(hi[c]), 1e-12)
 		}
 		rep.Rows = append(rep.Rows, ValidationRow{
-			Response:   id,
-			MeanAbsErr: sumAbs / float64(n),
-			MaxAbsErr:  maxAbs,
-			MeanRelErr: sumAbs / float64(n) / rng,
-			R2:         fit.R2,
+			Response:   chk.id,
+			MeanAbsErr: sums[c] / float64(n),
+			MaxAbsErr:  maxs[c],
+			MeanRelErr: sums[c] / float64(n) / span,
+			R2:         chk.r2,
 		})
 	}
-	rep.RSMTime = time.Since(startRSM)
 	return rep, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -352,24 +351,10 @@ func (s *Surfaces) OptimizeDesirability(ctx context.Context, goals []Desirabilit
 	if err != nil {
 		return nil, err
 	}
-	if starts < 1 {
-		starts = 1
+	best, totalEvals, err := opt.MultiStart(comp.Objective(), opt.NewBounds(len(s.Problem.Factors)), starts, seed, surfaceSearch)
+	if err != nil {
+		return nil, err
 	}
-	b := opt.NewBounds(len(s.Problem.Factors))
-	rng := rand.New(rand.NewSource(seed))
-	var best *opt.Result
-	totalEvals := 0
-	for i := 0; i < starts; i++ {
-		r, err := opt.NelderMead(comp.Objective(), b, b.Random(rng), opt.NelderMeadConfig{MaxIters: 400})
-		if err != nil {
-			return nil, err
-		}
-		totalEvals += r.Evals
-		if best == nil || r.F < best.F {
-			best = r
-		}
-	}
-
 	natural, err := doe.DecodeRun(s.Problem.Factors, best.X)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/doe"
 	"repro/internal/rsm"
@@ -188,16 +191,13 @@ func (ss *SavedSurfaces) Responses() []ResponseID {
 	for id := range ss.Coef {
 		out = append(out, id)
 	}
-	sortResponseIDs(out)
+	slices.Sort(out)
 	return out
 }
 
-func sortResponseIDs(ids []ResponseID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+// FactorIndex returns the position of the named factor, or −1.
+func (ss *SavedSurfaces) FactorIndex(name string) int {
+	return slices.IndexFunc(ss.Factors, func(f doe.Factor) bool { return f.Name == name })
 }
 
 // Predict evaluates a saved surface at a coded point.
@@ -277,4 +277,72 @@ func (ss *SavedSurfaces) PredictBatch(id ResponseID, points [][]float64) ([]floa
 		out[i] = pred(x)
 	}
 	return out, nil
+}
+
+// Sweep samples one response over the full natural range of factor fi at
+// n evenly spaced values, holding the other factors at base (natural
+// units). It returns the factor values and the predictions there.
+func (ss *SavedSurfaces) Sweep(id ResponseID, fi int, base []float64, n int) (xs, ys []float64, err error) {
+	pred, err := ss.Predictor(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	if fi < 0 || fi >= len(ss.Factors) {
+		return nil, nil, fmt.Errorf("core: factor index %d outside 0..%d", fi, len(ss.Factors)-1)
+	}
+	if n < 2 {
+		return nil, nil, fmt.Errorf("core: a sweep needs ≥2 points, got %d", n)
+	}
+	coded, err := ss.EncodePoint(base)
+	if err != nil {
+		return nil, nil, err
+	}
+	f := ss.Factors[fi]
+	xs, ys = make([]float64, n), make([]float64, n)
+	for i := range xs {
+		x := f.Min + float64(i)/float64(n-1)*(f.Max-f.Min)
+		coded[fi] = f.Encode(x)
+		xs[i] = x
+		ys[i] = pred(coded)
+	}
+	return xs, ys, nil
+}
+
+// Optimize maximizes (or minimizes) a response on its saved surface with
+// the same multi-start search as Surfaces.Optimize, without the confirming
+// simulation.
+func (ss *SavedSurfaces) Optimize(id ResponseID, maximize bool, starts int, seed int64) (*SurfaceOptimum, error) {
+	pred, err := ss.Predictor(id)
+	if err != nil {
+		return nil, err
+	}
+	return optimum(ss.Factors, pred, maximize, starts, seed)
+}
+
+// ErrModelMismatch marks saved surfaces a problem cannot validate: their
+// factor count differs from the problem's, or they share no response.
+var ErrModelMismatch = errors.New("model does not match the problem")
+
+// Validate runs the validation loop of Surfaces.Validate for saved
+// surfaces on problem p: n random points are simulated and every response
+// both the model and p produce is scored, in name order.
+func (ss *SavedSurfaces) Validate(ctx context.Context, p *Problem, n int, seed int64) (*ValidationReport, error) {
+	if len(p.Factors) != len(ss.Factors) {
+		return nil, fmt.Errorf("%w: model has %d factors, problem has %d", ErrModelMismatch, len(ss.Factors), len(p.Factors))
+	}
+	var checks []surfaceCheck
+	for _, id := range ss.Responses() {
+		if !slices.Contains(p.Responses, id) {
+			continue
+		}
+		pred, err := ss.Predictor(id)
+		if err != nil {
+			return nil, err
+		}
+		checks = append(checks, surfaceCheck{id: id, predict: pred, r2: ss.R2[id]})
+	}
+	if len(checks) == 0 {
+		return nil, fmt.Errorf("%w: model and problem share no responses", ErrModelMismatch)
+	}
+	return p.validate(ctx, checks, n, seed)
 }

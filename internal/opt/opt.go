@@ -279,6 +279,27 @@ func NelderMead(f Objective, b Bounds, x0 []float64, cfg NelderMeadConfig) (*Res
 	return &Result{X: append([]float64(nil), pts[0]...), F: vals[0], Evals: c.n, Iters: iters}, nil
 }
 
+// MultiStart runs NelderMead from starts (at least one) uniform random
+// points of the box, drawn in turn from one source seeded with seed. It
+// returns the best run — the earliest among equals — and the evaluations
+// all runs spent together.
+func MultiStart(f Objective, b Bounds, starts int, seed int64, cfg NelderMeadConfig) (*Result, int, error) {
+	rng := rand.New(rand.NewSource(seed))
+	var best *Result
+	evals := 0
+	for i := 0; i < max(starts, 1); i++ {
+		r, err := NelderMead(f, b, b.Random(rng), cfg)
+		if err != nil {
+			return nil, 0, err
+		}
+		evals += r.Evals
+		if best == nil || r.F < best.F {
+			best = r
+		}
+	}
+	return best, evals, nil
+}
+
 // AnnealConfig tunes simulated annealing.
 type AnnealConfig struct {
 	Iters    int     // total iterations (default 2000)

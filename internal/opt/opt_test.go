@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -265,5 +266,43 @@ func TestQuantized(t *testing.T) {
 	}
 	if _, err := Quantized(f, b, 1.5); err == nil {
 		t.Fatal("step > 1 must be rejected")
+	}
+}
+
+func TestMultiStart(t *testing.T) {
+	b := NewBounds(2)
+	cfg := NelderMeadConfig{MaxIters: 50}
+	best, evals, err := MultiStart(rastrigin, b, 5, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same starts, drawn and run one by one.
+	rng := rand.New(rand.NewSource(3))
+	var want *Result
+	sum := 0
+	for i := 0; i < 5; i++ {
+		r, err := NelderMead(rastrigin, b, b.Random(rng), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += r.Evals
+		if want == nil || r.F < want.F {
+			want = r
+		}
+	}
+	if evals != sum || best.F != want.F || best.X[0] != want.X[0] || best.X[1] != want.X[1] {
+		t.Fatalf("MultiStart = %v (%d evals), want %v (%d evals)", best, evals, want, sum)
+	}
+	// Fewer than one start means one.
+	one, evals1, err := MultiStart(rastrigin, b, 0, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := NelderMead(rastrigin, b, b.Random(rand.New(rand.NewSource(3))), cfg)
+	if one.F != first.F || evals1 != first.Evals {
+		t.Fatalf("starts 0: %v (%d evals), want the first start %v", one, evals1, first)
+	}
+	if _, _, err := MultiStart(rastrigin, Bounds{}, 2, 1, cfg); err == nil {
+		t.Fatal("bad bounds must fail")
 	}
 }

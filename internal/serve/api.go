@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/apiclient"
+	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -379,7 +380,7 @@ type errorBody struct {
 const (
 	codeInvalidRequest = apiclient.CodeInvalidRequest // malformed body, bad field values
 	codeBadField       = apiclient.CodeBadField       // request carries an unknown field
-	codeProtoMismatch  = "proto_mismatch"             // cluster request speaks the wrong protocol version
+	codeProtoMismatch  = cluster.CodeProtoMismatch    // cluster request speaks the wrong protocol version
 	codeNotFound       = "not_found"                  // unknown model or job
 	codeConflict       = "conflict"                   // request inconsistent with server state
 	codeQueueFull      = "queue_full"                 // build queue at capacity

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"runtime"
 	"strings"
@@ -547,5 +548,57 @@ func TestClusterFleetCacheExactlyOnce(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("worker %s never exited after shutdown", ids[i])
 		}
+	}
+}
+
+// TestClusterRoutesInstrumented: the work protocol is answered by the
+// coordinator's own handler, mounted through serve's endpoint table, so
+// fleet traffic still shows up per route in /metrics and carries request
+// IDs. A fleet build counts lease and results requests; a stale-protocol
+// register counts as a cluster_register error.
+func TestClusterRoutesInstrumented(t *testing.T) {
+	srv, ts := newTestServer(t, Config{QueueCap: 2, Problem: fleetProblem, Cluster: fastFleet()})
+	_, errc := startFleetWorker(t, ts.URL, "iw-1", fleetProblem)
+	waitFleet(t, srv.Coordinator(), 1)
+	job := fleetBuild(t, ts.URL, BuildRequest{Model: "fleet", Design: "ccf", Horizon: 2, Seed: 1, Pool: PoolCluster})
+	if done := pollJob(t, ts.URL, job.ID); done.State != string(JobDone) {
+		t.Fatalf("fleet build did not finish: %+v", done)
+	}
+	_, page := get(t, ts.URL+"/metrics")
+	for _, ep := range []string{"cluster_register", "cluster_lease", "cluster_results"} {
+		if v := metricValue(t, string(page), `ehdoed_requests_total{endpoint="`+ep+`"}`); v < 1 {
+			t.Fatalf("%s requests = %v, want ≥ 1", ep, v)
+		}
+	}
+	if strings.Contains(string(page), `ehdoed_request_errors_total{endpoint="cluster_register"}`) {
+		t.Fatalf("a clean fleet build counted register errors:\n%s", page)
+	}
+
+	resp, err := http.Post(ts.URL+cluster.PathRegister, "application/json",
+		strings.NewReader(`{"proto_version":1,"worker":"stale"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || env.Code != codeProtoMismatch || resp.Header.Get("X-Request-ID") == "" {
+		t.Fatalf("stale register: %d %+v, X-Request-ID %q", resp.StatusCode, env, resp.Header.Get("X-Request-ID"))
+	}
+	_, page = get(t, ts.URL+"/metrics")
+	if v := metricValue(t, string(page), `ehdoed_request_errors_total{endpoint="cluster_register"}`); v != 1 {
+		t.Fatalf("cluster_register errors = %v, want 1", v)
+	}
+
+	srv.Shutdown(2 * time.Second)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("worker did not drain cleanly: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never exited after shutdown")
 	}
 }

@@ -3,15 +3,11 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/opt"
 	"repro/internal/sim"
 )
 
@@ -136,7 +132,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleSweep samples one response curve over one factor's full range.
+// handleSweep samples one response curve over one factor's full range
+// (core.SavedSurfaces.Sweep).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if !s.decodeJSON(w, r, &req) {
@@ -151,7 +148,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "model has no response %q", req.Response)
 		return
 	}
-	fi := factorIndex(ss, req.Factor)
+	fi := ss.FactorIndex(req.Factor)
 	if fi < 0 {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "unknown factor %q", req.Factor)
 		return
@@ -169,31 +166,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "%v", err)
 		return
 	}
-	pred, err := ss.Predictor(id)
+	xs, ys, err := ss.Sweep(id, fi, base, n)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, codeInternal, "%v", err)
 		return
 	}
 	f := ss.Factors[fi]
-	resp := SweepResponse{
-		Model: req.Model, Response: req.Response, Factor: f.Name, Unit: f.Unit,
-		X: make([]float64, n), Y: make([]float64, n),
-	}
-	coded := make([]float64, len(base))
-	for j, v := range base {
-		coded[j] = ss.Factors[j].Encode(v)
-	}
-	for i := 0; i < n; i++ {
-		x := f.Min + float64(i)/float64(n-1)*(f.Max-f.Min)
-		coded[fi] = f.Encode(x)
-		resp.X[i] = x
-		resp.Y[i] = pred(coded)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, SweepResponse{
+		Model: req.Model, Response: req.Response, Factor: f.Name, Unit: f.Unit, X: xs, Y: ys,
+	})
 }
 
-// handleOptimize runs multi-start Nelder–Mead on the fitted surface — the
-// paper's "practically instant" optimization, exposed as an RPC.
+// handleOptimize finds the surface optimum of one response
+// (core.SavedSurfaces.Optimize) — the paper's "practically instant"
+// optimization, exposed as an RPC.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
 	if !s.decodeJSON(w, r, &req) {
@@ -204,8 +190,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := core.ResponseID(req.Response)
-	pred, err := ss.Predictor(id)
-	if err != nil {
+	if _, ok := ss.Coef[id]; !ok {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "model has no response %q", req.Response)
 		return
 	}
@@ -217,38 +202,21 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "starts %d outside 1..1000", req.Starts)
 		return
 	}
-	obj := opt.Objective(pred)
-	if !req.Minimize {
-		obj = opt.Maximize(obj)
-	}
-	bounds := opt.NewBounds(len(ss.Factors))
-	rng := rand.New(rand.NewSource(req.Seed))
-	var best *opt.Result
-	evals := 0
-	for i := 0; i < starts; i++ {
-		res, err := opt.NelderMead(obj, bounds, bounds.Random(rng), opt.NelderMeadConfig{MaxIters: 400})
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeInternal, "%v", err)
-			return
-		}
-		evals += res.Evals
-		if best == nil || res.F < best.F {
-			best = res
-		}
-	}
-	natural := make([]float64, len(best.X))
-	for i, f := range ss.Factors {
-		natural[i] = f.Decode(best.X[i])
+	best, err := ss.Optimize(id, !req.Minimize, starts, req.Seed)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, codeInternal, "%v", err)
+		return
 	}
 	writeJSON(w, http.StatusOK, OptimizeResponse{
 		Model: req.Model, Response: req.Response, Minimize: req.Minimize,
-		Natural: natural, Coded: best.X, Predicted: pred(best.X), Evals: evals,
+		Natural: best.Natural, Coded: best.Coded, Predicted: best.Predicted, Evals: best.Evals,
 	})
 }
 
 // handleValidate runs confirming simulations — the flow's "one check run"
-// step, batched. It is the only synchronous endpoint that touches the
-// simulator, so n is kept small and the client's disconnect aborts it.
+// step, batched (core.SavedSurfaces.Validate). It is the only synchronous
+// endpoint that touches the simulator, so n is kept small and the client's
+// disconnect aborts it.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	var req ValidateRequest
 	if !s.decodeJSON(w, r, &req) {
@@ -291,75 +259,29 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		p.Engine = sim.RunReference
 		p.EngineName = core.EngineReference
 	}
-	if len(p.Factors) != len(ss.Factors) {
-		writeError(w, http.StatusConflict, codeConflict,
-			"model has %d factors but the server problem has %d — validate applies only to models of the served problem",
-			len(ss.Factors), len(p.Factors))
+	rep, err := ss.Validate(r.Context(), p, n, req.Seed)
+	if err != nil {
+		var nerr *core.NumericError
+		switch {
+		case errors.Is(err, core.ErrModelMismatch):
+			writeError(w, http.StatusConflict, codeConflict, "%v", err)
+		case errors.Is(err, core.ErrValidationAborted):
+			writeError(w, statusClientClosedRequest, codeClientClosed, "%v", err)
+		case errors.As(err, &nerr):
+			writeError(w, http.StatusInternalServerError, codeNumericInvalid, "%v", err)
+		default:
+			writeError(w, http.StatusInternalServerError, codeInternal, "%v", err)
+		}
 		return
 	}
-	// Validate only responses both the model and the simulator produce.
-	var ids []core.ResponseID
-	for _, id := range ss.Responses() {
-		for _, pid := range p.Responses {
-			if id == pid {
-				ids = append(ids, id)
-				break
-			}
-		}
-	}
-	if len(ids) == 0 {
-		writeError(w, http.StatusConflict, codeConflict, "model and server problem share no responses")
-		return
-	}
-	rng := rand.New(rand.NewSource(req.Seed))
-	points := make([][]float64, n)
-	for i := range points {
-		x := make([]float64, len(ss.Factors))
-		for j := range x {
-			x[j] = rng.Float64()*2 - 1
-		}
-		points[i] = x
-	}
-	sums := make(map[core.ResponseID]float64, len(ids))
-	maxs := make(map[core.ResponseID]float64, len(ids))
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := r.Context().Err(); err != nil {
-			writeError(w, statusClientClosedRequest, codeClientClosed, "validation aborted: %v", err)
-			return
-		}
-		x := points[i]
-		sim, err := p.ResponsesAt(r.Context(), x)
-		if err != nil {
-			var nerr *core.NumericError
-			if errors.As(err, &nerr) {
-				writeError(w, http.StatusInternalServerError, codeNumericInvalid, "simulation %d failed: %v", i, err)
-				return
-			}
-			writeError(w, http.StatusInternalServerError, codeInternal, "simulation %d failed: %v", i, err)
-			return
-		}
-		for _, id := range ids {
-			pred, err := ss.Predict(id, x)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, "%v", err)
-				return
-			}
-			e := math.Abs(pred - sim[id])
-			sums[id] += e
-			if e > maxs[id] {
-				maxs[id] = e
-			}
-		}
-	}
-	resp := ValidateResponse{Model: req.Model, N: n, Engine: engine, SimMillis: float64(time.Since(start).Microseconds()) / 1e3}
-	for _, id := range ids {
+	resp := ValidateResponse{Model: req.Model, N: n, Engine: engine, SimMillis: float64(rep.SimTime.Microseconds()) / 1e3}
+	for _, row := range rep.Rows {
 		resp.Rows = append(resp.Rows, ValidateRow{
-			Response:   string(id),
-			MeanAbsErr: sums[id] / float64(n),
-			MaxAbsErr:  maxs[id],
-			PRESS:      ss.PRESS[id],
-			R2Pred:     ss.R2Pred[id],
+			Response:   string(row.Response),
+			MeanAbsErr: row.MeanAbsErr,
+			MaxAbsErr:  row.MaxAbsErr,
+			PRESS:      ss.PRESS[row.Response],
+			R2Pred:     ss.R2Pred[row.Response],
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -472,15 +394,6 @@ func resolveResponses(w http.ResponseWriter, ss *core.SavedSurfaces, names []str
 	return ids, true
 }
 
-func factorIndex(ss *core.SavedSurfaces, name string) int {
-	for i, f := range ss.Factors {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // basePoint builds a natural-units point from the "at" map, defaulting
 // every unset factor to its range midpoint.
 func basePoint(ss *core.SavedSurfaces, at map[string]float64) ([]float64, error) {
@@ -489,7 +402,7 @@ func basePoint(ss *core.SavedSurfaces, at map[string]float64) ([]float64, error)
 		nat[i] = (f.Min + f.Max) / 2
 	}
 	for name, v := range at {
-		i := factorIndex(ss, name)
+		i := ss.FactorIndex(name)
 		if i < 0 {
 			return nil, fmt.Errorf("unknown factor %q", name)
 		}

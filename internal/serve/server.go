@@ -65,6 +65,7 @@ type Server struct {
 	registry *Registry
 	jobs     *JobManager
 	coord    *cluster.Coordinator
+	work     http.Handler // coord's work-protocol mux
 	problem  ProblemFactory
 	cache    *simcache.Cache
 	maxBody  int64
@@ -152,6 +153,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.coord = cluster.NewCoordinator(ccfg)
 	s.coord.RegisterMetrics(s.reg, "ehdoed_cluster")
+	s.work = s.coord.Handler()
 	s.jobs = NewJobManager(JobManagerConfig{
 		Registry:   s.registry,
 		Problem:    s.problem,

@@ -25,6 +25,10 @@ type endpointSpec struct {
 }
 
 func (s *Server) endpoints() []endpointSpec {
+	// The work-protocol rows route to the coordinator's own mux, so the
+	// fleet gets one implementation of the protocol; instrument still wraps
+	// each row, giving fleet traffic trace IDs, metrics and access logs.
+	work := s.work.ServeHTTP
 	return []endpointSpec{
 		{"GET", "/healthz", "healthz", "Liveness and drain state.",
 			nil, HealthResponse{}, s.handleHealthz},
@@ -55,19 +59,19 @@ func (s *Server) endpoints() []endpointSpec {
 		{"GET", "/v1/jobs/{id}", "job_get", "Fetch one build job.",
 			nil, JobView{}, s.handleJobGet},
 		{"POST", cluster.PathRegister, "cluster_register", "Worker fleet: register (or re-register) a worker; issues its epoch.",
-			cluster.RegisterRequest{}, cluster.RegisterResponse{}, s.handleClusterRegister},
+			cluster.RegisterRequest{}, cluster.RegisterResponse{}, work},
 		{"POST", cluster.PathHeartbeat, "cluster_heartbeat", "Worker fleet: refresh a worker's liveness.",
-			cluster.HeartbeatRequest{}, cluster.HeartbeatResponse{}, s.handleClusterHeartbeat},
+			cluster.HeartbeatRequest{}, cluster.HeartbeatResponse{}, work},
 		{"POST", cluster.PathLease, "cluster_lease", "Worker fleet: pull the next batch of design points.",
-			cluster.LeaseRequest{}, cluster.LeaseResponse{}, s.handleClusterLease},
+			cluster.LeaseRequest{}, cluster.LeaseResponse{}, work},
 		{"POST", cluster.PathResults, "cluster_results", "Worker fleet: report a finished lease's results.",
-			cluster.ResultsRequest{}, cluster.ResultsResponse{}, s.handleClusterResults},
+			cluster.ResultsRequest{}, cluster.ResultsResponse{}, work},
 		{"POST", cluster.PathDeregister, "cluster_deregister", "Worker fleet: deregister cleanly.",
-			cluster.DeregisterRequest{}, cluster.DeregisterResponse{}, s.handleClusterDeregister},
+			cluster.DeregisterRequest{}, cluster.DeregisterResponse{}, work},
 		{"GET", cluster.PathWorkers, "cluster_workers", "Worker fleet health: per-worker state, leases and counters.",
-			nil, cluster.WorkersResponse{}, s.handleClusterWorkers},
+			nil, cluster.WorkersResponse{}, work},
 		{"GET", cluster.PathCache, "cluster_cache", "Sharded cache tier: shard map, per-worker and fleet cache counters.",
-			nil, cluster.CacheStateResponse{}, s.handleClusterCache},
+			nil, cluster.CacheStateResponse{}, work},
 	}
 }
 
