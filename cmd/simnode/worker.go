@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/cluster"
@@ -47,6 +48,9 @@ func runWorker(ctx context.Context, args []string, w io.Writer) error {
 	}
 	if *coordinator == "" {
 		return fmt.Errorf("-serve needs -coordinator <url>")
+	}
+	if *concurrency <= 0 {
+		*concurrency = runtime.GOMAXPROCS(0)
 	}
 
 	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)

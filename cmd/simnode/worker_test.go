@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,50 @@ func TestRunWorkerValidation(t *testing.T) {
 		"-coordinator", "http://localhost:1", "-fault-kill", "2",
 	}, &buf); err == nil || !strings.Contains(err.Error(), "probability") {
 		t.Fatalf("invalid fault probability must fail, got %v", err)
+	}
+}
+
+// TestRunWorkerConcurrencyDefault: without -concurrency the daemon runs
+// one leased point per CPU, as its help text promises, and an explicit
+// value is passed through; the coordinator sees either as the worker's
+// registered capacity.
+func TestRunWorkerConcurrencyDefault(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{nil, 3},
+		{[]string{"-concurrency", "2"}, 2},
+	} {
+		coord := cluster.NewCoordinator(cluster.Config{
+			HeartbeatInterval: 10 * time.Millisecond,
+			PollInterval:      2 * time.Millisecond,
+		})
+		ts := httptest.NewServer(coord.Handler())
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			var buf bytes.Buffer
+			errc <- runWorker(ctx, append([]string{"-coordinator", ts.URL, "-id", "w-cpu"}, tc.args...), &buf)
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for coord.LiveWorkers() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("worker never registered")
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		got := coord.Workers()[0].Capacity
+		cancel()
+		if err := <-errc; err != nil {
+			t.Fatalf("stop: %v", err)
+		}
+		ts.Close()
+		coord.Shutdown()
+		if got != tc.want {
+			t.Fatalf("args %q: registered capacity %d, want %d", tc.args, got, tc.want)
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -275,14 +276,18 @@ func (c *Client) serverAdvisedRetry(res *Result) (time.Duration, bool) {
 
 // parseRetryAfter decodes a Retry-After header value: delta-seconds or an
 // HTTP-date (RFC 9110 §10.2.3). Negative or unparseable values are
-// ignored.
+// ignored. A delay longer than time.Duration can hold saturates at its
+// maximum instead of wrapping around to a negative or tiny wait.
 func parseRetryAfter(v string) (time.Duration, bool) {
 	if v == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
 		if secs < 0 {
 			return 0, false
+		}
+		if secs > int64(math.MaxInt64/time.Second) {
+			return math.MaxInt64, true
 		}
 		return time.Duration(secs) * time.Second, true
 	}

@@ -303,6 +303,57 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
+// TestServerAdvisedRetryClamps: every delta-seconds value the server can
+// send maps to a wait in [0, cap]. Values past what time.Duration holds
+// must reach the cap, not wrap around in the conversion: unclamped,
+// 10000000000 s is a negative wait (retry at once) and 18446744074 s is
+// 290 ms.
+func TestServerAdvisedRetryClamps(t *testing.T) {
+	const cp = 30 * time.Second
+	c := New("http://127.0.0.1:1", Options{RetryAfterCap: cp})
+	for _, tc := range []struct {
+		status int
+		header string
+		want   time.Duration
+		ok     bool
+	}{
+		{http.StatusTooManyRequests, "7", 7 * time.Second, true},
+		{http.StatusServiceUnavailable, "0", 0, true},
+		{http.StatusTooManyRequests, "3600", cp, true},
+		{http.StatusTooManyRequests, "9223372036", cp, true},
+		{http.StatusTooManyRequests, "9223372037", cp, true},
+		{http.StatusTooManyRequests, "10000000000", cp, true},
+		{http.StatusTooManyRequests, "18446744074", cp, true},
+		{http.StatusServiceUnavailable, "99999999999999999999999", cp, true},
+		{http.StatusTooManyRequests, "-1", 0, false},
+		{http.StatusTooManyRequests, "-99999999999999999999999", 0, false},
+		{http.StatusTooManyRequests, "soon", 0, false},
+		{http.StatusTooManyRequests, "", 0, false},
+		{http.StatusInternalServerError, "7", 0, false},
+	} {
+		res := &Result{Status: tc.status, Header: http.Header{}}
+		if tc.header != "" {
+			res.Header.Set("Retry-After", tc.header)
+		}
+		d, ok := c.serverAdvisedRetry(res)
+		if d != tc.want || ok != tc.ok {
+			t.Errorf("%d Retry-After %q: (%v, %v), want (%v, %v)", tc.status, tc.header, d, ok, tc.want, tc.ok)
+		}
+	}
+}
+
+// FuzzParseRetryAfter feeds arbitrary header values to the Retry-After
+// parser: none may panic it, and an accepted value is never a negative
+// wait. The seed corpus in testdata/fuzz/FuzzParseRetryAfter holds both
+// encodings and the overflow values.
+func FuzzParseRetryAfter(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		if d, ok := parseRetryAfter(v); ok && d < 0 {
+			t.Fatalf("%q: accepted a negative wait %v", v, d)
+		}
+	})
+}
+
 // TestContextCancelStopsBackoff: cancellation during the retry sleep
 // returns promptly with the context's cause, not after the full backoff.
 func TestContextCancelStopsBackoff(t *testing.T) {

@@ -549,7 +549,10 @@ func (c *Coordinator) wakeLocked() {
 // Results records a finished lease. Results for points already filled by
 // another worker (a stolen lease that raced its thief) are dropped —
 // first result wins — and results for cancelled or unknown leases are
-// acknowledged without effect.
+// acknowledged without effect. Results for points outside the lease are
+// ignored, and every leased point the upload leaves unsettled goes back on
+// the queue: the lease is closed either way, so an omitted point would
+// otherwise be neither pending nor leased and its build would never end.
 func (c *Coordinator) Results(req ResultsRequest) ResultsResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -576,10 +579,15 @@ func (c *Coordinator) Results(req ResultsRequest) ResultsResponse {
 	delete(w.leases, req.Lease)
 	c.setInflightLocked(w)
 	j := l.job
+	unsettled := make(map[int]bool, len(l.points))
+	for _, pt := range l.points {
+		unsettled[pt.Index] = true
+	}
 	for _, r := range req.Results {
-		if j.finished || r.Index < 0 || r.Index >= len(j.rows) {
+		if j.finished || !unsettled[r.Index] {
 			continue
 		}
+		delete(unsettled, r.Index)
 		if r.Error != "" {
 			w.failed++
 			w.consecFails++
@@ -612,6 +620,13 @@ func (c *Coordinator) Results(req ResultsRequest) ResultsResponse {
 		}
 		if j.remaining == 0 {
 			c.finishJobLocked(j, nil)
+		}
+	}
+	if !l.stolen { // a stolen lease's points were requeued when it was stolen
+		for _, pt := range l.points {
+			if unsettled[pt.Index] {
+				c.requeuePointLocked(j, pt.Index, fmt.Errorf("cluster: lease %s on worker %s returned no result for point %d", l.id, w.id, pt.Index))
+			}
 		}
 	}
 	if w.consecFails >= c.cfg.MaxWorkerFailures {

@@ -214,6 +214,67 @@ func TestManualFleetCompletes(t *testing.T) {
 	}
 }
 
+// queuedPoints reports, per design index, whether the build's point is
+// waiting for a grant.
+func queuedPoints(c *Coordinator) []bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.jobs) != 1 {
+		return nil
+	}
+	return append([]bool(nil), c.jobs[0].queued...)
+}
+
+// TestPartialUploadRequeuesOmittedPoints: an upload that leaves leased
+// points unsettled puts them back on the queue, a result for a point
+// outside the lease is ignored, and the build still completes bit-identical
+// to a local run.
+func TestPartialUploadRequeuesOmittedPoints(t *testing.T) {
+	c := NewCoordinator(fastConfig())
+	defer c.Shutdown()
+	reg, err := c.Register(RegisterRequest{Worker: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := testDesign(t)
+	done := startBuild(c, design)
+
+	empty := leaseOrPoll(t, c, "a", reg.Epoch)
+	if rr := c.Results(ResultsRequest{Worker: "a", Epoch: reg.Epoch, Lease: empty.Lease.ID}); !rr.OK {
+		t.Fatalf("empty upload rejected: %+v", rr)
+	}
+	queued := queuedPoints(c)
+	for _, pt := range empty.Lease.Points {
+		if queued == nil || !queued[pt.Index] {
+			t.Fatalf("point %d of the empty upload's lease was not requeued", pt.Index)
+		}
+	}
+
+	partial := leaseOrPoll(t, c, "a", reg.Epoch)
+	results := runPoints(t, partial.Lease)[:1]
+	outside := empty.Lease.Points[0].Index
+	bogus := make(map[string]float64, len(results[0].Values))
+	for id := range results[0].Values {
+		bogus[id] = -1
+	}
+	results = append(results, PointResult{Index: outside, Values: bogus})
+	if rr := c.Results(ResultsRequest{Worker: "a", Epoch: reg.Epoch, Lease: partial.Lease.ID, Results: results}); !rr.OK {
+		t.Fatalf("partial upload rejected: %+v", rr)
+	}
+	queued = queuedPoints(c)
+	for _, pt := range partial.Lease.Points[1:] {
+		if queued == nil || !queued[pt.Index] {
+			t.Fatalf("point %d omitted from the partial upload was not requeued", pt.Index)
+		}
+	}
+
+	b := drainJob(t, c, "a", reg.Epoch, done)
+	if b.err != nil {
+		t.Fatal(b.err)
+	}
+	sameY(t, b.ds, localDataset(t, design))
+}
+
 // TestSplitBrainReregistration: re-registering a worker ID supersedes the
 // old incarnation — its epoch answers Gone everywhere, its leased points
 // are re-enqueued, and the build completes through the new epoch only.

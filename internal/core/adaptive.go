@@ -154,11 +154,13 @@ type roundQuality struct {
 }
 
 // buildAdaptive grows a design sequentially: simulate a small D-optimal
-// seed, refit incrementally, and keep adding the D-optimally most
-// informative lattice points until the stopping rule — lack of fit
-// acceptable AND adjusted-R²/PRESS improvement below threshold — fires, or
-// the point budget runs out. Every round's simulations go through run, the
-// same executor a fixed build uses. The cumulative dataset's SimTime is
+// seed, refit everything simulated so far through BuildSurfaces, and keep
+// adding the D-optimally most informative lattice points until the
+// stopping rule — lack of fit acceptable AND adjusted-R²/PRESS improvement
+// below threshold — fires, or the point budget runs out. Every round's
+// simulations go through run, the same executor a fixed build uses, and
+// the last round's fits are the build's surfaces, bit-identical to a batch
+// fit of the returned dataset. The cumulative dataset's SimTime is
 // the sum of its rounds' SimTime: design selection and refits between
 // rounds are not simulation time.
 func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model rsm.Model,
@@ -191,13 +193,6 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 		}
 	}
 
-	// One fitter serves every response: the runs, the Cholesky factor and
-	// the leverages are shared, only Xᵀy and y are per response.
-	fitter, err := rsm.NewFitter(model, len(p.Responses))
-	if err != nil {
-		return nil, err
-	}
-
 	cum := &Dataset{
 		Design: &doe.Design{Name: fmt.Sprintf("adaptive(k=%d)", k)},
 		Y:      make(map[ResponseID][]float64, len(p.Responses)),
@@ -205,9 +200,8 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 	stats := &AdaptiveStats{FixedPoints: FixedEquivalentPoints(k)}
 	res := &BuildResult{Dataset: cum, Adaptive: stats}
 
-	// absorb merges one round's dataset into the cumulative one and feeds
-	// the incremental fitter.
-	absorb := func(ds *Dataset) error {
+	// absorb merges one round's dataset into the cumulative one.
+	absorb := func(ds *Dataset) {
 		cum.SimTime += ds.SimTime
 		cum.SimWork += ds.SimWork
 		cum.Retries += ds.Retries
@@ -219,15 +213,12 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 			cum.Batch.add(ds.Batch)
 		}
 		if ds.Y == nil {
-			return nil
+			return
 		}
 		cum.Design.Runs = append(cum.Design.Runs, ds.Design.Runs...)
-		cols := make([][]float64, len(p.Responses))
-		for r, id := range p.Responses {
+		for _, id := range p.Responses {
 			cum.Y[id] = append(cum.Y[id], ds.Y[id]...)
-			cols[r] = ds.Y[id]
 		}
-		return fitter.AppendRows(ds.Design.Runs, cols...)
 	}
 
 	fail := func(err error) (*BuildResult, error) {
@@ -237,22 +228,16 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 		return res, err
 	}
 
-	// quality evaluates the current incremental fits against the stopping
-	// gates.
-	quality := func() (*roundQuality, error) {
+	// quality evaluates one round's fits of the cumulative dataset against
+	// the stopping gates.
+	quality := func(s *Surfaces) *roundQuality {
 		q := &roundQuality{
 			minR2: math.Inf(1), minAdjR2: math.Inf(1), minR2Pred: math.Inf(1),
 			worstLackP: math.Inf(1), lofOK: true,
 		}
 		anyLackP := false
-		snaps, err := fitter.Snapshot()
-		if err != nil {
-			// The runs alone decide whether a snapshot exists, so every
-			// response fails alike; report the first.
-			return nil, fmt.Errorf("core: refitting %q: %w", p.Responses[0], err)
-		}
-		for r, snap := range snaps {
-			ys := fitter.Ys(r)
+		for _, id := range p.Responses {
+			fit, ys := s.Fits[id], cum.Y[id]
 			// Near-constant response: the simulator answered (almost)
 			// the same value everywhere, so TotalSS is rounding dust and
 			// every R²/lack ratio is numerical noise, not information.
@@ -262,28 +247,28 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 			for _, y := range ys {
 				sumYY += y * y
 			}
-			if snap.TotalSS <= 1e-12*math.Max(sumYY, 1e-300) {
+			if fit.TotalSS <= 1e-12*math.Max(sumYY, 1e-300) {
 				continue
 			}
-			q.minR2 = math.Min(q.minR2, snap.R2)
-			q.minAdjR2 = math.Min(q.minAdjR2, snap.AdjR2)
-			q.minR2Pred = math.Min(q.minR2Pred, snap.R2Pred)
+			q.minR2 = math.Min(q.minR2, fit.R2)
+			q.minAdjR2 = math.Min(q.minAdjR2, fit.AdjR2)
+			q.minR2Pred = math.Min(q.minR2Pred, fit.R2Pred)
 			lackFrac := 0.0
 			lofPass := false
-			lof, lerr := snap.LackOfFitTest(fitter.Runs(), ys)
+			lof, lerr := fit.LackOfFitTest(cum.Design.Runs, ys)
 			if lerr == nil {
-				if snap.TotalSS > 0 {
-					lackFrac = lof.LackSS / snap.TotalSS
+				if fit.TotalSS > 0 {
+					lackFrac = lof.LackSS / fit.TotalSS
 				}
 				if !math.IsNaN(lof.P) {
 					anyLackP = true
 					q.worstLackP = math.Min(q.worstLackP, lof.P)
 					lofPass = lof.P >= lackAlpha
 				}
-			} else if snap.TotalSS > 0 {
+			} else if fit.TotalSS > 0 {
 				// No replication (or DoF exhausted): the F-test is
 				// undefined; judge adequacy on the residual fraction alone.
-				lackFrac = snap.ResidualSS / snap.TotalSS
+				lackFrac = fit.ResidualSS / fit.TotalSS
 			}
 			q.worstLackFrac = math.Max(q.worstLackFrac, lackFrac)
 			if !lofPass && lackFrac > lackFraction {
@@ -297,14 +282,16 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 			// Every response was near-constant: nothing left to learn.
 			q.minR2, q.minAdjR2, q.minR2Pred = 1, 1, 1
 		}
-		return q, nil
+		return q
 	}
 
 	lg.Info("adaptive build started", "k", k, "initial", initial.N(),
 		"batch", cfg.BatchPoints, "min", cfg.MinPoints, "max", cfg.MaxPoints)
 	// Round 0 simulates the seed design; every later round the D-optimal
-	// augmentation of everything simulated so far.
+	// augmentation of everything simulated so far. Each round refits the
+	// cumulative dataset, and the last round's surfaces are the build's.
 	var prev *roundQuality
+	var s *Surfaces
 	for round := 0; ; round++ {
 		d := initial
 		if round > 0 {
@@ -321,17 +308,15 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 		d.Name = fmt.Sprintf("adaptive-r%d", round)
 		ds, err := run(ctx, d)
 		if ds != nil {
-			if aerr := absorb(ds); err == nil && aerr != nil {
-				err = aerr
-			}
+			absorb(ds)
 		}
 		if err != nil {
 			return fail(err)
 		}
-		cur, err := quality()
-		if err != nil {
+		if s, err = p.BuildSurfaces(cum, model); err != nil {
 			return fail(err)
 		}
+		cur := quality(s)
 		stats.Rounds = append(stats.Rounds, AdaptiveRound{
 			Round: round, Added: d.N(), Points: cum.Design.N(),
 			MinR2: cur.minR2, MinAdjR2: cur.minAdjR2, MinR2Pred: cur.minR2Pred,
@@ -358,9 +343,7 @@ func (p *Problem) buildAdaptive(ctx context.Context, cfg AdaptiveConfig, model r
 	if skipped := stats.FixedPoints - stats.PointsSimulated; skipped > 0 {
 		stats.PointsSkipped = skipped
 	}
-	if res.Surfaces, err = p.BuildSurfaces(cum, model); err != nil {
-		return fail(err)
-	}
+	res.Surfaces = s
 	lg.Info("adaptive build finished", "points", stats.PointsSimulated,
 		"fixed_points", stats.FixedPoints, "rounds", len(stats.Rounds),
 		"stop", stats.StopReason)

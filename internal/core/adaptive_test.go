@@ -387,3 +387,113 @@ func TestAdaptiveChaosFaultsMidRound(t *testing.T) {
 		}
 	}
 }
+
+// batchRound recomputes one round's worst-case stats the way the stopping
+// rule defines them, from one rsm.FitModel per response over the first n
+// runs of the build's dataset.
+func batchRound(t *testing.T, p *Problem, ds *Dataset, model rsm.Model, n int) AdaptiveRound {
+	t.Helper()
+	runs := ds.Design.Runs[:n]
+	want := AdaptiveRound{MinR2: math.Inf(1), MinAdjR2: math.Inf(1), MinR2Pred: math.Inf(1), WorstLackP: math.Inf(1)}
+	anyLackP := false
+	for _, id := range p.Responses {
+		ys := ds.Y[id][:n]
+		fit, err := rsm.FitModel(model, runs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sumYY float64
+		for _, y := range ys {
+			sumYY += y * y
+		}
+		if fit.TotalSS <= 1e-12*math.Max(sumYY, 1e-300) {
+			continue
+		}
+		want.MinR2 = math.Min(want.MinR2, fit.R2)
+		want.MinAdjR2 = math.Min(want.MinAdjR2, fit.AdjR2)
+		want.MinR2Pred = math.Min(want.MinR2Pred, fit.R2Pred)
+		lackFrac := fit.ResidualSS / fit.TotalSS
+		if lof, err := fit.LackOfFitTest(runs, ys); err == nil {
+			lackFrac = lof.LackSS / fit.TotalSS
+			if !math.IsNaN(lof.P) {
+				anyLackP = true
+				want.WorstLackP = math.Min(want.WorstLackP, lof.P)
+			}
+		}
+		want.WorstLackFrac = math.Max(want.WorstLackFrac, lackFrac)
+	}
+	if !anyLackP {
+		want.WorstLackP = -1
+	}
+	if math.IsInf(want.MinR2, 1) {
+		want.MinR2, want.MinAdjR2, want.MinR2Pred = 1, 1, 1
+	}
+	return want
+}
+
+// TestAdaptiveRoundsMatchBatchFits pins the adaptive loop to the batch fit:
+// every round's five stats equal, bit for bit, those recomputed from
+// rsm.FitModel on that round's cumulative prefix, and the build's final
+// surfaces equal BuildSurfaces of its returned dataset bit for bit.
+func TestAdaptiveRoundsMatchBatchFits(t *testing.T) {
+	truths := map[string]map[ResponseID]func([]float64) float64{
+		"quad": {
+			RespHarvestedPower: quadTruth,
+			RespNetMargin:      func(x []float64) float64 { return 2 - quadTruth(x) },
+		},
+		"spiky": {
+			RespHarvestedPower: spikyTruth,
+			RespNetMargin:      quadTruth,
+		},
+	}
+	for k := 2; k <= 4; k++ {
+		for name, truth := range truths {
+			t.Run(fmt.Sprintf("k=%d/%s", k, name), func(t *testing.T) {
+				p := seamProblem(k)
+				model := rsm.FullQuadratic(k)
+				res, err := Build(context.Background(), BuildSpec{
+					Problem: p, Run: analyticSeam(p, truth, nil, nil),
+					Adaptive: &AdaptiveConfig{MaxPoints: 2 * FixedEquivalentPoints(k), Seed: 7},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Adaptive.Rounds) < 2 {
+					t.Fatalf("only %d rounds; the test needs a refit after augmentation", len(res.Adaptive.Rounds))
+				}
+				for _, got := range res.Adaptive.Rounds {
+					want := batchRound(t, p, res.Dataset, model, got.Points)
+					for _, c := range []struct {
+						stat      string
+						got, want float64
+					}{
+						{"min_r2", got.MinR2, want.MinR2},
+						{"min_adj_r2", got.MinAdjR2, want.MinAdjR2},
+						{"min_r2_pred", got.MinR2Pred, want.MinR2Pred},
+						{"worst_lof_p", got.WorstLackP, want.WorstLackP},
+						{"worst_lack_frac", got.WorstLackFrac, want.WorstLackFrac},
+					} {
+						if math.Float64bits(c.got) != math.Float64bits(c.want) {
+							t.Fatalf("round %d (%d points) %s = %v, batch fit gives %v", got.Round, got.Points, c.stat, c.got, c.want)
+						}
+					}
+				}
+				batch, err := p.BuildSurfaces(res.Dataset, model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range p.Responses {
+					got, want := res.Surfaces.Fits[id].Coef, batch.Fits[id].Coef
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d coefficients, batch fit has %d", id, len(got), len(want))
+					}
+					for j := range want {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%s coefficient %d = %v, batch fit gives %v", id, j, got[j], want[j])
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/doe"
@@ -307,4 +308,37 @@ func TestBasisFitMatchesFitModelReference(t *testing.T) {
 			t.Fatalf("Basis.Fit error %v, reference %v", err, werr)
 		}
 	})
+}
+
+// TestBasisFitRejectsNonFinite: a NaN or infinite observation in any run
+// fails the fit instead of yielding NaN coefficients, and the basis still
+// fits a finite response afterwards.
+func TestBasisFitRejectsNonFinite(t *testing.T) {
+	d, err := doe.CentralComposite(2, doe.CCF, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBasis(FullQuadratic(2), d.Runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := make([]float64, d.N())
+	for i, r := range d.Runs {
+		y[i] = wavyQuad(r)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, d.N() - 1} {
+			yb := append([]float64(nil), y...)
+			yb[at] = bad
+			if f, err := b.Fit(yb); err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("%v at run %d: fit %v, error %v; want a non-finite rejection", bad, at, f, err)
+			}
+			if _, err := FitModel(FullQuadratic(2), d.Runs, yb); err == nil {
+				t.Fatalf("FitModel accepted %v at run %d", bad, at)
+			}
+		}
+	}
+	if _, err := b.Fit(y); err != nil {
+		t.Fatalf("finite response after rejections: %v", err)
+	}
 }

@@ -111,35 +111,28 @@ func newBasis(m Model, runs [][]float64) (*Basis, error) {
 }
 
 // Fit fits one response y, observed at the basis's runs, and computes its
-// diagnostics.
+// diagnostics: residuals, sums of squares, R², adjusted R², σ², RMSE,
+// coefficient standard errors, leverage and PRESS. A NaN or infinite
+// observation is rejected before it can poison the solve.
 func (b *Basis) Fit(y []float64) (*Fit, error) {
 	if len(y) != len(b.rows) {
 		return nil, fmt.Errorf("rsm: %d runs but %d responses", len(b.rows), len(y))
+	}
+	for i, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("rsm: non-finite response %v at run %d", v, i)
+		}
 	}
 	coef, err := b.qr.SolveLS(y)
 	if err != nil {
 		return nil, err
 	}
-	f := newFit(b.model, coef, b.rows, y, b.leverage)
-	f.xtxInv = b.xtxInv
-	// Coefficient standard errors.
-	f.CoefSE = make([]float64, len(coef))
-	for j := range f.CoefSE {
-		f.CoefSE[j] = math.Sqrt(f.Sigma2 * f.xtxInv.At(j, j))
-	}
-	return f, nil
-}
-
-// newFit computes the diagnostics every fit of y carries, batch or
-// incremental: residuals, sums of squares, R², adjusted R², σ², RMSE,
-// leverage (a copy of lev) and PRESS.
-func newFit(m Model, coef []float64, rows [][]float64, y, lev []float64) *Fit {
-	n, p := len(y), m.P()
-	f := &Fit{Model: m, Coef: coef, N: n}
+	n, p := len(y), b.model.P()
+	f := &Fit{Model: b.model, Coef: coef, N: n, xtxInv: b.xtxInv}
 	// Residuals and sums of squares.
 	f.Residuals = make([]float64, n)
 	mean := stats.Mean(y)
-	for i, row := range rows {
+	for i, row := range b.rows {
 		e := y[i] - dot(row, coef)
 		f.Residuals[i] = e
 		f.ResidualSS += e * e
@@ -165,7 +158,7 @@ func newFit(m Model, coef []float64, rows [][]float64, y, lev []float64) *Fit {
 		f.AdjR2 = f.R2
 	}
 	// Leverage (shared by every response of the design) and PRESS.
-	f.Leverage = append([]float64(nil), lev...)
+	f.Leverage = append([]float64(nil), b.leverage...)
 	for i, h := range f.Leverage {
 		denom := 1 - h
 		if denom < 1e-12 {
@@ -179,7 +172,12 @@ func newFit(m Model, coef []float64, rows [][]float64, y, lev []float64) *Fit {
 	} else {
 		f.R2Pred = 1
 	}
-	return f
+	// Coefficient standard errors.
+	f.CoefSE = make([]float64, len(coef))
+	for j := range f.CoefSE {
+		f.CoefSE[j] = math.Sqrt(f.Sigma2 * f.xtxInv.At(j, j))
+	}
+	return f, nil
 }
 
 func dot(a, b []float64) float64 {

@@ -428,3 +428,58 @@ func TestFitRecoveryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wavyQuad is a quadratic plus a small smooth perturbation, so fits
+// have genuinely nonzero residuals, PRESS and lack of fit.
+func wavyQuad(x []float64) float64 {
+	s := 2.0
+	for j, v := range x {
+		s += float64(j+1)*0.7*v - 0.4*v*v
+		if j > 0 {
+			s += 0.3 * v * x[j-1]
+		}
+	}
+	return s + 0.05*math.Sin(7*s)
+}
+
+// TestPRESSMatchesLiteralLeaveOneOut verifies the hat-matrix PRESS shortcut
+// against n literal refits: PRESS = Σ (y_i − ŷ_{(−i)}(x_i))².
+func TestPRESSMatchesLiteralLeaveOneOut(t *testing.T) {
+	d, err := doe.CentralComposite(2, doe.CCF, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	y := make([]float64, d.N())
+	for i, r := range d.Runs {
+		y[i] = wavyQuad(r) + 0.05*rng.NormFloat64()
+	}
+	fit, err := FitModel(FullQuadratic(2), d.Runs, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var press float64
+	for i := range d.Runs {
+		runs := make([][]float64, 0, d.N()-1)
+		ys := make([]float64, 0, d.N()-1)
+		for j := range d.Runs {
+			if j == i {
+				continue
+			}
+			runs = append(runs, d.Runs[j])
+			ys = append(ys, y[j])
+		}
+		loo, err := FitModel(FullQuadratic(2), runs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := y[i] - loo.Predict(d.Runs[i])
+		press += e * e
+	}
+	if math.Abs(fit.PRESS-press) > 1e-8*math.Max(1, press) {
+		t.Fatalf("PRESS %v differs from literal leave-one-out %v", fit.PRESS, press)
+	}
+	if math.Abs(fit.R2Pred-(1-press/fit.TotalSS)) > 1e-8 {
+		t.Fatalf("R²-pred %v inconsistent with PRESS", fit.R2Pred)
+	}
+}
